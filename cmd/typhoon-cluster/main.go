@@ -84,7 +84,7 @@ func main() {
 			}
 		}()
 		defer obsSrv.Close()
-		fmt.Printf("observability at http://%s/metrics (top: /api/top, traces: /api/traces, pprof: /debug/pprof/)\n", *metrics)
+		fmt.Printf("observability at http://%s/metrics (top: /api/v1/top, traces: /api/v1/traces, pprof: /debug/pprof/)\n", *metrics)
 	}
 
 	stats := workload.NewStats(time.Second)

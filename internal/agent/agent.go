@@ -60,12 +60,10 @@ type Options struct {
 	RestartDelay time.Duration
 	// DefaultBatchSize is the initial I/O batch size for workers.
 	DefaultBatchSize int
-	// DefaultFlushDeadline is the initial bounded staging wait for worker
-	// transports; zero selects the transport default, negative disables.
+	// DefaultFlushDeadline is the initial bound on how long workers let
+	// emitted tuples sit staged in their transport; zero selects
+	// worker.DefaultFlushDeadline, negative disables.
 	DefaultFlushDeadline time.Duration
-	// WorkerFlushInterval is the worker loop's periodic transport flush
-	// cadence; zero selects the worker default.
-	WorkerFlushInterval time.Duration
 	// StatsInterval is the workers' statistics push period (Fig 4's
 	// worker statistics reporter); zero selects 500 ms in SDN mode.
 	StatsInterval time.Duration
@@ -465,8 +463,7 @@ func (a *Agent) launch(l *topology.Logical, p *topology.Physical, as topology.As
 		Stateful:      node.Stateful,
 		Routes:        topology.RoutesFor(l, p, as.Node),
 		Acking:        l.Ackers > 0,
-		BatchSize:     batchSize,
-		FlushInterval: a.opts.WorkerFlushInterval,
+		FlushInterval: flushDeadline,
 		AckTimeout:    a.opts.AckTimeout,
 		StatsInterval: a.opts.StatsInterval,
 		Env:           a.opts.Env,
@@ -487,10 +484,9 @@ func (a *Agent) launch(l *topology.Logical, p *topology.Physical, as topology.As
 		}
 		port = pt
 		tr = worker.NewSDNTransport(l.App, as.Worker, pt, worker.SDNTransportConfig{
-			BatchSize:     batchSize,
-			FlushDeadline: flushDeadline,
-			Sampler:       a.opts.FrameSampler,
-			TraceSink:     a.opts.TraceSink,
+			BatchSize: batchSize,
+			Sampler:   a.opts.FrameSampler,
+			TraceSink: a.opts.TraceSink,
 		})
 		if err := a.publishPort(l.Name, as.Worker, pt.No()); err != nil {
 			a.opts.Switch.RemovePort(pt.No())

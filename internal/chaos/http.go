@@ -6,7 +6,7 @@ import (
 )
 
 // Handler exposes the engine over HTTP, mounted by the cluster's
-// observability endpoint at /api/chaos:
+// observability endpoint at /api/v1/chaos:
 //
 //	POST  a JSON Spec to inject a fault
 //	GET   the applied-injection record as JSON

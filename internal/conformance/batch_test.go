@@ -1,20 +1,21 @@
 package conformance
 
 import (
+	"net/http/httptest"
 	"testing"
 	"time"
 
+	"typhoon/internal/apiclient"
 	"typhoon/internal/core"
 )
 
-// newBatchHarness is newHarness with the batching knobs exposed: the sweep
-// runs the same strict pipeline at several batch sizes, and the deadline
-// case needs the worker loop's periodic flush pushed out of the way so only
-// the transport's bounded staging wait can move tuples.
-func newBatchHarness(t *testing.T, p *Params, batch int, deadline, workerFlush time.Duration) (*core.Cluster, *Recorder) {
+// newBatchHarness is newHarness with the data plane and the two batching
+// knobs exposed: the count threshold (transport) and the flush deadline
+// (worker loop).
+func newBatchHarness(t *testing.T, p *Params, mode core.Mode, batch int, deadline time.Duration) (*core.Cluster, *Recorder) {
 	t.Helper()
 	c, err := core.NewCluster(core.Config{
-		Mode:                 core.ModeTyphoon,
+		Mode:                 mode,
 		Hosts:                []string{"h1", "h2"},
 		HeartbeatInterval:    100 * time.Millisecond,
 		HeartbeatTimeout:     2 * time.Second,
@@ -23,7 +24,6 @@ func newBatchHarness(t *testing.T, p *Params, batch int, deadline, workerFlush t
 		RestartDelay:         200 * time.Millisecond,
 		DefaultBatchSize:     batch,
 		DefaultFlushDeadline: deadline,
-		WorkerFlushInterval:  workerFlush,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestConformanceBatchSweep(t *testing.T) {
 				Keys: 16, PerKey: 200, Window: 25, Seed: 11,
 				ThrottleEvery: 64, ThrottleDelay: time.Millisecond,
 			}
-			c, rec := newBatchHarness(t, p, bs.batch, 0, 0)
+			c, rec := newBatchHarness(t, p, core.ModeTyphoon, bs.batch, 0)
 			if err := c.Submit(buildTopo(t, "conf-batch-"+bs.name, 2), 15*time.Second); err != nil {
 				t.Fatal(err)
 			}
@@ -73,35 +73,91 @@ func TestConformanceBatchSweep(t *testing.T) {
 	}
 }
 
-// TestConformanceFlushDeadlineOnly pins the bounded staging wait end to
-// end: the batch threshold is unreachable (100k) and the worker loop's
-// periodic flush is pushed to a minute, so the ONLY mechanism that can move
-// a staged tuple is the transport's flush deadline firing from the worker's
-// Recv polling. A slow open-loop source then completes the strict stream —
-// and does so promptly, bounding the per-tuple latency the deadline exists
-// to cap.
-func TestConformanceFlushDeadlineOnly(t *testing.T) {
+// TestConformanceFlushDeadline pins the time bound on staging end to end:
+// with the batch threshold out of reach (100k) the only thing that moves a
+// staged tuple is the worker loop's flush deadline, at its default. A slow
+// open-loop source then completes the strict stream in both data planes —
+// the Storm baseline's buffered writers are flushed by nothing else either.
+func TestConformanceFlushDeadline(t *testing.T) {
+	for _, m := range []struct {
+		name string
+		mode core.Mode
+	}{
+		{"typhoon", core.ModeTyphoon},
+		{"storm", core.ModeStorm},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			p := &Params{
+				Keys: 8, PerKey: 50, Window: 10, Seed: 23,
+				ThrottleEvery: 8, ThrottleDelay: 2 * time.Millisecond,
+			}
+			c, rec := newBatchHarness(t, p, m.mode, 100_000, 0)
+			if err := c.Submit(buildTopo(t, "conf-deadline-"+m.name, 2), 15*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			waitCond(t, 30*time.Second, "deadline-driven stream completion", rec.Complete)
+			if bad := rec.Check(); len(bad) != 0 {
+				t.Fatalf("%d conformance findings (first: %v)", len(bad), bad[0])
+			}
+		})
+	}
+}
+
+// TestConformanceFlushDeadlineRetuneAPI drives the live retune end to end on
+// a cluster started with the deadline disabled and the threshold out of
+// reach: POST /api/v1/batch?deadline=2ms must reach every running worker's
+// loop. Completion alone would not show that — in a live cluster full frames
+// and the stats reporter's control flush also push staged tuples out (the
+// strict "nothing leaves until Stop" case is worker.TestFlushDeadline) — so
+// the check is the realized occupancy the same endpoint reports: frames that
+// left only when full or on a stats push carry ~100 tuples, frames flushed
+// every 2 ms behind a paced source carry a handful.
+func TestConformanceFlushDeadlineRetuneAPI(t *testing.T) {
 	p := &Params{
-		Keys: 8, PerKey: 50, Window: 10, Seed: 23,
+		Keys: 8, PerKey: 400, Window: 10, Seed: 29,
 		ThrottleEvery: 8, ThrottleDelay: 2 * time.Millisecond,
 	}
-	c, rec := newBatchHarness(t, p, 100_000, 2*time.Millisecond, time.Minute)
-	if err := c.Submit(buildTopo(t, "conf-deadline", 2), 15*time.Second); err != nil {
+	c, rec := newBatchHarness(t, p, core.ModeTyphoon, 100_000, -1)
+	srv := httptest.NewServer(c.ObserveHandler())
+	t.Cleanup(srv.Close)
+	api := apiclient.New(srv.Listener.Addr().String())
+	sent := func() (tuples, frames uint64) {
+		st, err := api.Batch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range st.Hosts {
+			tuples += h.TuplesSent
+			frames += h.FramesSent
+		}
+		return tuples, frames
+	}
+	if err := c.Submit(buildTopo(t, "conf-deadline-api", 2), 15*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	waitCond(t, 30*time.Second, "deadline-driven stream completion", rec.Complete)
-	elapsed := time.Since(start)
+	waitCond(t, 30*time.Second, "stream underway", func() bool { return rec.Total() > 0 })
+	if err := api.BatchSet(0, 2*time.Millisecond); err != nil {
+		t.Fatalf("POST /api/v1/batch: %v", err)
+	}
+	t0, f0 := sent()
+	if rec.Complete() {
+		t.Fatal("stream finished before the retune; slow the source")
+	}
+	waitCond(t, 60*time.Second, "stream completion after retune", rec.Complete)
 	if bad := rec.Check(); len(bad) != 0 {
-		t.Fatalf("%d conformance findings (first: %v)", len(bad), bad[0])
+		t.Fatalf("%d conformance findings after retune (first: %v)", len(bad), bad[0])
 	}
-	// The source emits ~400 tuples at ~2ms per 8: roughly 100ms of open-loop
-	// offered load. Without the deadline nothing would flush for a minute;
-	// completing well under that proves the bound is what moved the tuples.
-	if elapsed > 20*time.Second {
-		t.Fatalf("deadline-only stream took %v; staging deadline is not firing", elapsed)
+	st, err := api.Batch()
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("deadline-only completion in %v", elapsed)
+	if st.FlushDeadlineNs != int64(2*time.Millisecond) {
+		t.Fatalf("GET reports deadline %dns, want 2ms", st.FlushDeadlineNs)
+	}
+	t1, f1 := sent()
+	if occ := float64(t1-t0) / float64(f1-f0); occ > 20 {
+		t.Fatalf("%.1f tuples/frame after the retune: workers are still flushing only full frames", occ)
+	}
 }
 
 // TestConformanceBatchRetuneMidStream retunes batch size and flush deadline
@@ -113,7 +169,7 @@ func TestConformanceBatchRetuneMidStream(t *testing.T) {
 		Keys: 16, PerKey: 300, Window: 25, Seed: 31,
 		ThrottleEvery: 32, ThrottleDelay: 2 * time.Millisecond,
 	}
-	c, rec := newBatchHarness(t, p, 50, 0, 0)
+	c, rec := newBatchHarness(t, p, core.ModeTyphoon, 50, 0)
 	if err := c.Submit(buildTopo(t, "conf-retune", 2), 15*time.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ const (
 	// Payload MetricResp. Emitted by workers — both as the answer to
 	// KindMetricReq and unsolicited every StatsInterval (Fig 4's worker
 	// statistics reporter); consumed by the auto-scaler and the
-	// metrics-collector, which caches the rows behind /api/top and the
+	// metrics-collector, which caches the rows behind /api/v1/top and the
 	// typhoon_worker_* metrics.
 	KindMetricResp Kind = "METRIC_RESP"
 	// KindInputRate throttles a worker's input processing rate. Payload

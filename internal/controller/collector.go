@@ -17,7 +17,7 @@ import (
 // METRIC_RESP statistics workers push (and answers on-demand polls with
 // METRIC_REQ sweeps through the data plane), keeps the latest row per
 // worker, and exposes the cache both as registry samples and as the
-// worker half of the /api/top table.
+// worker half of the /api/v1/top table.
 type MetricsCollector struct {
 	BaseApp
 
@@ -31,7 +31,7 @@ type MetricsCollector struct {
 	mu   sync.Mutex
 	rows map[string]map[topology.WorkerID]workerMetric // topo -> worker
 	// lastPoll is tracked per controller ID: one collector instance may be
-	// shared by every controller of a replicated control plane (so /api/top
+	// shared by every controller of a replicated control plane (so /api/v1/top
 	// sees all shards), and each controller sweeps the topologies it owns
 	// on its own schedule.
 	lastPoll map[string]time.Time
@@ -107,7 +107,7 @@ func (m *MetricsCollector) OnTick(c *Controller) {
 }
 
 // Poll sends one METRIC_REQ to every worker of every topology through the
-// data plane (PACKET_OUT → switch → worker port). The HTTP layer's /api/top
+// data plane (PACKET_OUT → switch → worker port). The HTTP layer's /api/v1/top
 // handler calls it so a scrape always triggers a fresh sweep.
 func (m *MetricsCollector) Poll(c *Controller) {
 	m.mu.Lock()

@@ -462,8 +462,10 @@ func (c *Controller) serveDatapath(nc net.Conn) {
 			c.dps[m.Host] = dp
 			c.mu.Unlock()
 			c.assertRole(dp)
-			// A new datapath may unblock pending topology syncs.
-			c.syncAll()
+			// A new datapath may unblock pending topology syncs. Not on this
+			// goroutine: a sync waits for replies only this loop can read.
+			c.wg.Add(1)
+			go func() { defer c.wg.Done(); c.syncAll() }()
 		case openflow.StatsReply:
 			if dp != nil {
 				dp.mu.Lock()

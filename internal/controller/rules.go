@@ -210,6 +210,7 @@ func (c *Controller) SyncTopology(name string) {
 		}
 	}
 	adds := 0
+	programmed := make(map[string]bool)
 	for key, fm := range desired {
 		if prev, ok := prevInstalled[key]; ok && reflect.DeepEqual(prev, fm) {
 			continue
@@ -217,7 +218,14 @@ func (c *Controller) SyncTopology(name string) {
 		if dp := c.datapath(key.host); dp != nil {
 			_, _ = dp.conn.Send(fm)
 			adds++
+			programmed[key.host] = true
 		}
+	}
+	// Barrier: FlowMods are fire-and-forget, yet sources are activated "once
+	// flow rules are in place" (§3.2 step v). A switch serves its connection in
+	// order, so a reply to a request sent behind them means they are applied.
+	for host := range programmed {
+		_, _ = c.stats(host, openflow.StatsRequest{Kind: openflow.StatsPort}, 0)
 	}
 	for key, fm := range prevInstalled {
 		if _, ok := desired[key]; ok {

@@ -1,7 +1,13 @@
 package controller
 
 import (
+	"net"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"typhoon/internal/coordinator"
+	"typhoon/internal/paths"
 
 	"typhoon/internal/openflow"
 	"typhoon/internal/packet"
@@ -244,5 +250,77 @@ func TestCompileRulesQoS(t *testing.T) {
 		if fm.Meter != 0 || fm.Actions[0].Type == openflow.ActSetQueue {
 			t.Fatalf("QoS leaked into non-QoS compilation: %+v", fm)
 		}
+	}
+}
+
+// TestSyncBarrierBeforeControlTuples: no ROUTING or ACTIVATE may leave before
+// every switch has applied the rules of the generation (§3.2 step v). h2 is a
+// switch that takes 5 ms over each FlowMod; when the first PACKET_OUT reaches
+// h1, h2 must have applied everything it was sent.
+func TestSyncBarrierBeforeControlTuples(t *testing.T) {
+	kv := coordinator.NewStore()
+	c, err := New(kv, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+
+	var received, applied atomic.Int64
+	behind := make(chan int64, 1)
+	fakeSwitch := func(host string, slow bool) {
+		nc, err := net.Dial("tcp", c.Addr())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		t.Cleanup(func() { _ = nc.Close() })
+		conn := openflow.NewConn(nc)
+		go func() {
+			for {
+				xid, msg, err := conn.Receive()
+				if err != nil {
+					return
+				}
+				switch m := msg.(type) {
+				case openflow.FeaturesRequest:
+					_ = conn.SendXID(xid, openflow.FeaturesReply{
+						DatapathID: 1, Host: host, Ports: []openflow.PortInfo{{No: testTun[host], Name: "tun0"}},
+					})
+				case openflow.FlowMod:
+					if slow {
+						received.Add(1)
+						time.Sleep(5 * time.Millisecond)
+						applied.Add(1)
+					}
+				case openflow.StatsRequest:
+					_ = conn.SendXID(xid, openflow.StatsReply{Kind: m.Kind})
+				case openflow.PacketOut:
+					select {
+					case behind <- received.Load() - applied.Load():
+					default:
+					}
+				}
+			}
+		}()
+	}
+	fakeSwitch("h1", false)
+	fakeSwitch("h2", true)
+	for c.datapath("h1") == nil || c.datapath("h2") == nil {
+		time.Sleep(time.Millisecond)
+	}
+	l, p := fixture(topology.Shuffle)
+	_, _ = kv.Put(paths.Logical(l.Name), l.Encode())
+	_, _ = kv.Put(paths.Physical(p.Name), p.Encode())
+
+	select {
+	case n := <-behind:
+		if n != 0 || applied.Load() == 0 {
+			t.Fatalf("control tuples sent with %d of h2's %d FlowMods still unapplied", n, received.Load())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no control tuple was sent")
 	}
 }

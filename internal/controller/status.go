@@ -30,7 +30,7 @@ type MasterStatus struct {
 }
 
 // ControlPlaneInfo is the full control-plane view: registrations plus
-// per-switch mastership, served at /api/controlplane and by
+// per-switch mastership, served at /api/v1/controlplane and by
 // `typhoon-ctl controlplane status`.
 type ControlPlaneInfo struct {
 	Controllers []ControllerStatus `json:"controllers"`

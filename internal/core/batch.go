@@ -24,7 +24,7 @@ type BatchHostRow struct {
 	BatchOccupancy float64 `json:"batchOccupancy"`
 }
 
-// BatchStatusReport is the /api/batch GET payload: the live batching
+// BatchStatusReport is the /api/v1/batch GET payload: the live batching
 // defaults new workers inherit plus per-host realized occupancy.
 type BatchStatusReport struct {
 	DefaultSize int `json:"defaultSize"`
@@ -68,9 +68,10 @@ func (c *Cluster) BatchStatus() BatchStatusReport {
 
 // SetBatch retunes the data-plane batching knobs cluster-wide: the agents'
 // defaults for future worker launches, and — through BATCH_SIZE control
-// tuples broadcast by the owning controllers — every running worker's
-// transport. size <= 0 and deadline == 0 leave the respective knob
-// unchanged; a negative deadline disables the bounded staging wait.
+// tuples broadcast by the owning controllers — every running worker (the
+// size lands in its transport, the deadline in its loop). size <= 0 and
+// deadline == 0 leave the respective knob unchanged; a negative deadline
+// disables the bounded staging wait.
 func (c *Cluster) SetBatch(size int, deadline time.Duration) error {
 	if size <= 0 && deadline == 0 {
 		return fmt.Errorf("core: nothing to change (size and deadline both unset)")
@@ -101,7 +102,7 @@ func (c *Cluster) SetBatch(size int, deadline time.Duration) error {
 	return nil
 }
 
-// serveBatch is the /api/batch handler: GET reports BatchStatus, POST with
+// serveBatch is the /api/v1/batch handler: GET reports BatchStatus, POST with
 // size and/or deadline query parameters retunes the cluster (deadline is a
 // Go duration; a negative one disables the bounded staging wait).
 func (c *Cluster) serveBatch(w http.ResponseWriter, r *http.Request) {

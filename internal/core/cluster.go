@@ -58,13 +58,11 @@ type Config struct {
 	HeartbeatInterval time.Duration
 	// DefaultBatchSize is the worker I/O batch size (Typhoon knob).
 	DefaultBatchSize int
-	// DefaultFlushDeadline bounds how long staged tuples wait for the
-	// batch threshold; zero selects worker.DefaultFlushDeadline, negative
-	// disables the bound.
+	// DefaultFlushDeadline bounds how long emitted tuples sit staged in a
+	// worker's transport before the worker loop flushes them, in both
+	// modes; zero selects worker.DefaultFlushDeadline, negative disables
+	// the bound.
 	DefaultFlushDeadline time.Duration
-	// WorkerFlushInterval is the worker loop's periodic transport flush
-	// cadence; zero selects the worker default.
-	WorkerFlushInterval time.Duration
 	// AckTimeout is the source replay timeout under guaranteed
 	// processing.
 	AckTimeout time.Duration
@@ -178,7 +176,7 @@ func NewCluster(options ...Option) (*Cluster, error) {
 		if n < 1 {
 			n = 1
 		}
-		// One collector instance is shared by every controller so /api/top
+		// One collector instance is shared by every controller so /api/v1/top
 		// aggregates all shards; each controller polls only the topologies
 		// it owns.
 		c.Obs.Collector = controller.NewMetricsCollector()
@@ -254,7 +252,6 @@ func NewCluster(options ...Option) (*Cluster, error) {
 			RestartDelay:         cfg.RestartDelay,
 			DefaultBatchSize:     cfg.DefaultBatchSize,
 			DefaultFlushDeadline: cfg.DefaultFlushDeadline,
-			WorkerFlushInterval:  cfg.WorkerFlushInterval,
 			AckTimeout:           cfg.AckTimeout,
 			OnWorkerCrash:        cfg.OnWorkerCrash,
 		}

@@ -92,7 +92,7 @@ func (o *Observability) registerSwitch(sw *switchfabric.Switch) {
 
 // registerAgentTransports adds a collector aggregating one host's worker
 // transport counters — the realized batch occupancy (tuples per frame) is
-// the knob /api/batch tunes.
+// the knob /api/v1/batch tunes.
 func (o *Observability) registerAgentTransports(a *agent.Agent) {
 	host := observe.Labels{"host": a.Host()}
 	o.Registry.AddCollector(func(emit func(observe.Sample)) {
@@ -150,7 +150,7 @@ func (c *Cluster) TopSnapshot() observe.TopSnapshot {
 
 // ObserveHandler returns the cluster's observability HTTP handler: the
 // /metrics Prometheus exposition, the JSON /api/* endpoints, and pprof.
-// Requesting /api/top triggers a METRIC_REQ sweep through the control-tuple
+// Requesting /api/v1/top triggers a METRIC_REQ sweep through the control-tuple
 // path so worker rows are fresh.
 func (c *Cluster) ObserveHandler() http.Handler {
 	var poll func()

@@ -62,17 +62,11 @@ func WithDefaultBatchSize(n int) Option {
 	return optionFunc(func(c *Config) { c.DefaultBatchSize = n })
 }
 
-// WithDefaultFlushDeadline bounds how long staged tuples wait for the batch
-// threshold before flushing. Default 0 selects worker.DefaultFlushDeadline;
-// negative disables the bound.
+// WithDefaultFlushDeadline bounds how long emitted tuples sit staged in a
+// worker's transport before the worker loop flushes them (both modes).
+// Default 0 selects worker.DefaultFlushDeadline; negative disables the bound.
 func WithDefaultFlushDeadline(d time.Duration) Option {
 	return optionFunc(func(c *Config) { c.DefaultFlushDeadline = d })
-}
-
-// WithWorkerFlushInterval sets the worker loop's periodic transport flush
-// cadence. Default: the worker's built-in interval.
-func WithWorkerFlushInterval(d time.Duration) Option {
-	return optionFunc(func(c *Config) { c.WorkerFlushInterval = d })
 }
 
 // WithAckTimeout sets the source replay timeout under guaranteed
@@ -167,7 +161,6 @@ func (c *Config) validate() error {
 		{"HeartbeatTimeout", c.HeartbeatTimeout},
 		{"MonitorInterval", c.MonitorInterval},
 		{"HeartbeatInterval", c.HeartbeatInterval},
-		{"WorkerFlushInterval", c.WorkerFlushInterval},
 		{"AckTimeout", c.AckTimeout},
 		{"DrainDelay", c.DrainDelay},
 		{"RestartDelay", c.RestartDelay},

@@ -54,7 +54,7 @@ type QoSHostRow struct {
 	Queues []switchfabric.QueueStats `json:"queues,omitempty"`
 }
 
-// QoSStatusReport is the /api/qos GET payload.
+// QoSStatusReport is the /api/v1/qos GET payload.
 type QoSStatusReport struct {
 	Enabled    bool                      `json:"enabled"`
 	Topologies []controller.TopologyQoS  `json:"topologies,omitempty"`
@@ -126,7 +126,7 @@ func (c *Cluster) SetTopologyQoS(topo, class string, rateBps uint64) error {
 	return c.Manager.SetQoS(topo, class, rateBps)
 }
 
-// serveQoS is the /api/qos handler: GET reports QoSStatus, POST with
+// serveQoS is the /api/v1/qos handler: GET reports QoSStatus, POST with
 // topo, class and optional rate query parameters reassigns a topology.
 func (c *Cluster) serveQoS(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {

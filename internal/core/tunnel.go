@@ -282,11 +282,8 @@ func (t *tunnelEndpoint) ingressLoop(c net.Conn) {
 		if _, err := io.ReadFull(br, frame); err != nil {
 			return
 		}
-		// Backpressure into the switch: retry briefly on a full ring.
-		ok := t.port.WriteFrame(frame)
-		for retries := 0; !ok && retries < 200 && !t.port.Closed(); retries++ {
-			time.Sleep(50 * time.Microsecond)
-			ok = t.port.WriteFrame(frame)
-		}
+		// Bounded backpressure into the switch; an abandoned frame is the
+		// ring's one counted drop.
+		_ = t.port.WriteFrameTimeout(frame, switchfabric.WriteFrameWait)
 	}
 }

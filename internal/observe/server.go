@@ -39,7 +39,7 @@ type WorkerRow struct {
 	AgeSecs float64 `json:"ageSecs"`
 }
 
-// TopSnapshot is the live cluster table served at /api/top.
+// TopSnapshot is the live cluster table served at /api/v1/top.
 type TopSnapshot struct {
 	At       time.Time   `json:"at"`
 	Switches []SwitchRow `json:"switches"`
@@ -48,34 +48,34 @@ type TopSnapshot struct {
 
 // ServerOptions wires the pieces the HTTP endpoint exposes.
 type ServerOptions struct {
-	// Registry backs /metrics and /api/metrics.
+	// Registry backs /metrics and /api/v1/metrics.
 	Registry *Registry
-	// Traces backs /api/traces; nil disables the route.
+	// Traces backs /api/v1/traces; nil disables the route.
 	Traces *TraceLog
-	// Top builds the /api/top table; nil disables the route.
+	// Top builds the /api/v1/top table; nil disables the route.
 	Top func() TopSnapshot
-	// Poll, when set, is invoked before Top on /api/top requests — the
+	// Poll, when set, is invoked before Top on /api/v1/top requests — the
 	// hook the cluster uses to issue a METRIC_REQ sweep through the
 	// control-tuple path so the next scrape is fresh.
 	Poll func()
-	// Chaos, when non-nil, is mounted at /api/chaos (fault injection
+	// Chaos, when non-nil, is mounted at /api/v1/chaos (fault injection
 	// over HTTP; GET lists injections, POST applies a fault spec).
 	Chaos http.Handler
-	// Rescale, when non-nil, is mounted at /api/rescale (POST triggers a
+	// Rescale, when non-nil, is mounted at /api/v1/rescale (POST triggers a
 	// managed stable rescale and returns its report).
 	Rescale http.Handler
-	// ControlPlane, when non-nil, is mounted at /api/controlplane (GET
+	// ControlPlane, when non-nil, is mounted at /api/v1/controlplane (GET
 	// returns controller registrations and per-switch mastership).
 	ControlPlane http.Handler
-	// Qos, when non-nil, is mounted at /api/qos (GET reports per-topology
+	// Qos, when non-nil, is mounted at /api/v1/qos (GET reports per-topology
 	// rate classes and meter/queue statistics, POST reassigns a topology's
 	// class and configured rate).
 	Qos http.Handler
-	// Batch, when non-nil, is mounted at /api/batch (GET reports batching
+	// Batch, when non-nil, is mounted at /api/v1/batch (GET reports batching
 	// defaults and realized per-host occupancy, POST retunes batch size
 	// and flush deadline cluster-wide).
 	Batch http.Handler
-	// Scenario, when non-nil, is mounted at /api/scenario (POST runs a
+	// Scenario, when non-nil, is mounted at /api/v1/scenario (POST runs a
 	// declarative scenario spec and returns its report).
 	Scenario http.Handler
 	// EnablePprof adds net/http/pprof under /debug/pprof/.
@@ -83,8 +83,7 @@ type ServerOptions struct {
 }
 
 // Envelope is the uniform /api/v1 response body: exactly one of Data and
-// Error is set. Legacy /api/* routes keep their bare payloads for one
-// release; new consumers should read /api/v1/* only.
+// Error is set.
 type Envelope struct {
 	Data  json.RawMessage `json:"data,omitempty"`
 	Error *APIError       `json:"error,omitempty"`
@@ -112,15 +111,10 @@ type APIError struct {
 //	/api/v1/batch            batching defaults and occupancy (GET), size/deadline set (POST)
 //	/api/v1/scenario         declarative scenario run (POST spec, returns report)
 //	/debug/pprof/*           standard Go profiling endpoints
-//
-// The pre-versioning /api/* routes remain as aliases serving their legacy
-// bare payloads for one release.
 func Handler(o ServerOptions) http.Handler {
 	mux := http.NewServeMux()
-	// route mounts one endpoint twice: the legacy handler verbatim at
-	// /api/<name>, and its envelope-wrapped form at /api/v1/<name>.
+	// route mounts a handler at /api/v1/<name> behind the envelope contract.
 	route := func(name string, h http.Handler) {
-		mux.Handle("/api/"+name, h)
 		mux.Handle("/api/v1/"+name, envelopeWrap(h))
 	}
 	if o.Registry != nil {
@@ -181,10 +175,10 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = enc.Encode(v)
 }
 
-// envelopeWrap adapts a legacy handler to the /api/v1 envelope contract by
-// recording its response: success payloads become {"data": ...}, error
-// statuses become {"error": {"code": ..., "message": ...}} with the status
-// preserved, so one handler implementation serves both surfaces.
+// envelopeWrap is the one place the /api/v1 envelope contract is enforced:
+// it records a plain handler's response and rewrites it, success payloads to
+// {"data": ...}, error statuses to {"error": {"code": ..., "message": ...}}
+// with the status preserved.
 func envelopeWrap(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rec := &responseRecorder{header: make(http.Header), code: http.StatusOK}
@@ -205,7 +199,7 @@ func envelopeWrap(h http.Handler) http.Handler {
 			body = []byte("null")
 		}
 		if !json.Valid(body) {
-			// Legacy plain-text success bodies become JSON strings.
+			// Plain-text success bodies become JSON strings.
 			body, _ = json.Marshal(string(body))
 		}
 		_ = enc.Encode(Envelope{Data: body})

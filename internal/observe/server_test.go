@@ -42,27 +42,6 @@ func testOptions() ServerOptions {
 	}
 }
 
-// TestLegacyRoutesServeBarePayloads pins the pre-versioning /api/* aliases:
-// bare JSON bodies, no envelope, application/json content type.
-func TestLegacyRoutesServeBarePayloads(t *testing.T) {
-	h := Handler(testOptions())
-	for _, path := range []string{"/api/metrics", "/api/top", "/api/traces"} {
-		rec := get(t, h, path)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s: status %d", path, rec.Code)
-		}
-		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-			t.Fatalf("%s: Content-Type %q", path, ct)
-		}
-		var probe map[string]json.RawMessage
-		if err := json.Unmarshal(rec.Body.Bytes(), &probe); err == nil {
-			if _, hasData := probe["data"]; hasData {
-				t.Fatalf("%s: legacy route wrapped in envelope: %s", path, rec.Body.String())
-			}
-		}
-	}
-}
-
 // TestV1RoutesServeEnvelopes pins the versioned contract: every /api/v1
 // success is {"data": ...} with the payload intact.
 func TestV1RoutesServeEnvelopes(t *testing.T) {
@@ -102,12 +81,7 @@ func TestV1ErrorEnvelopePreservesStatus(t *testing.T) {
 	})
 	h := Handler(o)
 
-	rec := get(t, h, "/api/rescale")
-	if rec.Code != http.StatusConflict || strings.TrimSpace(rec.Body.String()) != "no such node" {
-		t.Fatalf("legacy error: %d %q", rec.Code, rec.Body.String())
-	}
-
-	rec = get(t, h, "/api/v1/rescale")
+	rec := get(t, h, "/api/v1/rescale")
 	if rec.Code != http.StatusConflict {
 		t.Fatalf("v1 error status = %d", rec.Code)
 	}
@@ -150,17 +124,19 @@ func TestV1EmptySuccessBodyBecomesNullData(t *testing.T) {
 	}
 }
 
-// TestNilHandlersDisableRoutesOnBothSurfaces: unwired endpoints must 404
-// on the legacy and the versioned path alike.
-func TestNilHandlersDisableRoutesOnBothSurfaces(t *testing.T) {
+// TestNilHandlersDisableRoutes: unwired endpoints must 404, and so must the
+// pre-versioning /api/<name> path of a wired one (each endpoint is mounted
+// once).
+func TestNilHandlersDisableRoutes(t *testing.T) {
 	h := Handler(ServerOptions{Registry: NewRegistry()})
 	for _, path := range []string{
-		"/api/traces", "/api/v1/traces",
-		"/api/top", "/api/v1/top",
-		"/api/chaos", "/api/v1/chaos",
-		"/api/rescale", "/api/v1/rescale",
-		"/api/controlplane", "/api/v1/controlplane",
-		"/api/qos", "/api/v1/qos",
+		"/api/v1/traces",
+		"/api/v1/top",
+		"/api/v1/chaos",
+		"/api/v1/rescale",
+		"/api/v1/controlplane",
+		"/api/v1/qos",
+		"/api/metrics",
 	} {
 		if rec := get(t, h, path); rec.Code != http.StatusNotFound {
 			t.Fatalf("%s: status %d, want 404", path, rec.Code)
@@ -182,14 +158,14 @@ func TestPrometheusSurfaceUnversioned(t *testing.T) {
 	}
 }
 
-// TestTopPollHookRunsPerRequest: the METRIC_REQ sweep hook fires on both
-// surfaces.
+// TestTopPollHookRunsPerRequest: the METRIC_REQ sweep hook fires on every
+// top request.
 func TestTopPollHookRunsPerRequest(t *testing.T) {
 	polls := 0
 	o := testOptions()
 	o.Poll = func() { polls++ }
 	h := Handler(o)
-	get(t, h, "/api/top")
+	get(t, h, "/api/v1/top")
 	get(t, h, "/api/v1/top")
 	if polls != 2 {
 		t.Fatalf("polls = %d, want 2", polls)

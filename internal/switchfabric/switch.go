@@ -284,6 +284,11 @@ func (p *Port) IsTunnel() bool { return p.tunnel }
 // It reports false when the ingress ring is full (frame dropped).
 func (p *Port) WriteFrame(frame []byte) bool { return p.rx.TryEnqueue(frame) }
 
+// WriteFrameWait is the backpressure budget every producer into a switch
+// ingress ring (worker transports, the tunnel ingress) passes to
+// WriteFrameTimeout before abandoning a frame — the loss mode §8 discusses.
+const WriteFrameWait = 10 * time.Millisecond
+
 // WriteFrameTimeout submits a frame, blocking up to wait for ring space.
 // It returns ring.ErrFull past the deadline (one drop counted) or
 // ring.ErrClosed after the port is removed.

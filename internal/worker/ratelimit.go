@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"math"
 	"sync"
 	"time"
 )
@@ -44,11 +45,15 @@ func (l *RateLimiter) Rate() float64 {
 }
 
 // Allow consumes one token if available.
-func (l *RateLimiter) Allow() bool {
+func (l *RateLimiter) Allow() bool { return l.take() == 0 }
+
+// take consumes one token and returns 0 if one is available; otherwise it
+// consumes nothing and returns how long until the next token accrues.
+func (l *RateLimiter) take() time.Duration {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.rate <= 0 {
-		return true
+		return 0
 	}
 	now := time.Now()
 	l.tokens += l.rate * now.Sub(l.last).Seconds()
@@ -58,7 +63,10 @@ func (l *RateLimiter) Allow() bool {
 	}
 	if l.tokens >= 1 {
 		l.tokens--
-		return true
+		return 0
 	}
-	return false
+	// Round up so one timed wait is enough; the cap keeps a vanishing rate
+	// from overflowing the duration (the caller asks again after waiting).
+	secs := math.Min((1-l.tokens)/l.rate, 3600)
+	return time.Duration(secs*float64(time.Second)) + 1
 }

@@ -30,14 +30,6 @@ type SDNTransport struct {
 	batch      atomic.Int64
 	sinceFlush int
 
-	// flushDeadline bounds how long staged tuples may wait for the batch
-	// threshold (nanoseconds; 0 disables). stagedAt is the coarse-clock
-	// stamp of the oldest tuple staged since the last flush, touched only
-	// by the worker goroutine; the deadline itself is atomic so control
-	// tuples can retune it live.
-	flushDeadline atomic.Int64
-	stagedAt      int64
-
 	// encScratch and rxBatch are per-transport reusable buffers for the
 	// zero-alloc fast path. Send/Recv run on the worker goroutine only.
 	encScratch []byte
@@ -66,7 +58,6 @@ type SDNTransport struct {
 	framesSent     atomic.Uint64
 	dropped        atomic.Uint64
 	tuplesReceived atomic.Uint64
-	closed         atomic.Bool
 }
 
 // FrameSampler decides which emitted frames carry a tuple-path trace annex
@@ -83,11 +74,6 @@ type SDNTransportConfig struct {
 	// BatchSize is the number of tuples accumulated before frames are
 	// flushed to the switch (the configurable batching knob of Fig 8).
 	BatchSize int
-	// FlushDeadline bounds how long staged tuples may wait for the batch
-	// threshold, so latency stays capped when the offered rate is low.
-	// Zero selects DefaultFlushDeadline; negative disables the deadline
-	// (flushes then happen only on the threshold and explicit Flush).
-	FlushDeadline time.Duration
 	// MaxPayload caps frame payload size.
 	MaxPayload int
 	// Sampler, when set, selects emitted frames to carry a trace annex.
@@ -100,11 +86,6 @@ type SDNTransportConfig struct {
 // DefaultBatchSize matches the batch size used by most of the paper's SDN
 // control-plane experiments (§6.2).
 const DefaultBatchSize = 100
-
-// DefaultFlushDeadline is the default bound on how long a staged tuple may
-// wait for its batch to fill. It matches the worker loop's default flush
-// interval and is comfortably above the coarse clock's 500µs granularity.
-const DefaultFlushDeadline = time.Millisecond
 
 // NewSDNTransport attaches a transport for worker self to a switch port.
 func NewSDNTransport(app uint16, self topology.WorkerID, port *switchfabric.Port, cfg SDNTransportConfig) *SDNTransport {
@@ -121,12 +102,6 @@ func NewSDNTransport(app uint16, self topology.WorkerID, port *switchfabric.Port
 		sink:    cfg.TraceSink,
 	}
 	t.batch.Store(int64(cfg.BatchSize))
-	switch {
-	case cfg.FlushDeadline == 0:
-		t.flushDeadline.Store(int64(DefaultFlushDeadline))
-	case cfg.FlushDeadline > 0:
-		t.flushDeadline.Store(int64(cfg.FlushDeadline))
-	}
 	return t
 }
 
@@ -156,11 +131,6 @@ func (t *SDNTransport) Send(d Destination, in tuple.Tuple) error {
 	if int64(t.sinceFlush) >= t.batch.Load() {
 		return t.Flush()
 	}
-	if t.stagedAt == 0 {
-		t.stagedAt = clock.CoarseUnixNano()
-	} else if dl := t.flushDeadline.Load(); dl > 0 && clock.CoarseUnixNano()-t.stagedAt >= dl {
-		return t.Flush()
-	}
 	return nil
 }
 
@@ -179,30 +149,9 @@ func (t *SDNTransport) SendControl(in tuple.Tuple) error {
 // Flush implements Transport.
 func (t *SDNTransport) Flush() error {
 	t.sinceFlush = 0
-	t.stagedAt = 0
 	t.writeFrames(t.pktz.FlushAll())
 	return nil
 }
-
-// maybeDeadlineFlush flushes staged tuples whose bounded wait has expired.
-// It runs on the worker goroutine (Recv is called every loop iteration), so
-// the deadline fires even when no further Send arrives — the low-rate case
-// the bound exists for.
-func (t *SDNTransport) maybeDeadlineFlush() {
-	if t.stagedAt == 0 {
-		return
-	}
-	if dl := t.flushDeadline.Load(); dl > 0 && clock.CoarseUnixNano()-t.stagedAt >= dl {
-		_ = t.Flush()
-	}
-}
-
-// writeFrameWait bounds the backpressure a full switch ingress ring exerts
-// on a sender before the frame is dropped (the loss mode §8 discusses). It
-// matches the worst-case stall of the spin-retry loop it replaced, but
-// blocks on the ring's channel instead of burning CPU in a sleep-poll loop,
-// and counts exactly one ring drop per abandoned frame.
-const writeFrameWait = 10 * time.Millisecond
 
 // writeFrames pushes frames into the switch ingress ring with bounded
 // blocking backpressure (modelling the DPDK TX ring).
@@ -218,7 +167,7 @@ func (t *SDNTransport) writeFrames(frames [][]byte) {
 				f = traced
 			}
 		}
-		if err := t.port.WriteFrameTimeout(f, writeFrameWait); err != nil {
+		if err := t.port.WriteFrameTimeout(f, switchfabric.WriteFrameWait); err != nil {
 			t.dropped.Add(1)
 			packet.PutFrameBuf(f) // never entered the ring; still solely ours
 			continue
@@ -234,7 +183,6 @@ func (t *SDNTransport) writeFrames(frames [][]byte) {
 // next Recv call; the tuples themselves own their storage and may be
 // retained indefinitely.
 func (t *SDNTransport) Recv(max int, wait time.Duration) ([]tuple.Tuple, error) {
-	t.maybeDeadlineFlush()
 	if max <= 0 {
 		max = 256
 	}
@@ -292,7 +240,8 @@ func (t *SDNTransport) Recv(max int, wait time.Duration) ([]tuple.Tuple, error) 
 }
 
 // Reconfigure implements Transport: BATCH_SIZE tuples adjust the egress
-// batch threshold and flush deadline; other kinds are ignored.
+// batch threshold (their flush deadline belongs to the worker loop); other
+// kinds are ignored.
 func (t *SDNTransport) Reconfigure(in tuple.Tuple) error {
 	kind, err := control.DecodeKind(in)
 	if err != nil || kind != control.KindBatchSize {
@@ -303,9 +252,6 @@ func (t *SDNTransport) Reconfigure(in tuple.Tuple) error {
 		return err
 	}
 	t.SetBatchSize(b.Size)
-	if b.FlushDeadline != 0 {
-		t.SetFlushDeadline(b.FlushDeadline)
-	}
 	return nil
 }
 
@@ -319,23 +265,6 @@ func (t *SDNTransport) SetBatchSize(n int) {
 
 // BatchSize returns the current batch threshold.
 func (t *SDNTransport) BatchSize() int { return int(t.batch.Load()) }
-
-// SetFlushDeadline adjusts the bounded staging wait. Negative disables the
-// deadline; zero is ignored (the Reconfigure wire format uses zero for
-// "unchanged").
-func (t *SDNTransport) SetFlushDeadline(d time.Duration) {
-	switch {
-	case d > 0:
-		t.flushDeadline.Store(int64(d))
-	case d < 0:
-		t.flushDeadline.Store(0)
-	}
-}
-
-// FlushDeadline returns the current staging deadline (0 when disabled).
-func (t *SDNTransport) FlushDeadline() time.Duration {
-	return time.Duration(t.flushDeadline.Load())
-}
 
 // InQueueLen implements Transport: decoded tuples awaiting dispatch plus
 // frames queued in the switch port.
@@ -354,10 +283,7 @@ func (t *SDNTransport) Stats() TransportStats {
 
 // Close implements Transport. The switch port itself is owned by the
 // worker agent, which removes it (triggering the PortStatus event).
-func (t *SDNTransport) Close() error {
-	t.closed.Store(true)
-	return nil
-}
+func (t *SDNTransport) Close() error { return nil }
 
 var _ Transport = (*SDNTransport)(nil)
 var _ Transport = (*ChanTransport)(nil)

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"typhoon/internal/control"
 	"typhoon/internal/openflow"
 	"typhoon/internal/packet"
 	"typhoon/internal/switchfabric"
@@ -126,7 +125,6 @@ func TestSDNTransportBroadcastSingleSerialization(t *testing.T) {
 func TestSDNTransportBatching(t *testing.T) {
 	_, src, sinks := newSwitchEnv(t, 1)
 	src.SetBatchSize(10)
-	src.SetFlushDeadline(-1) // threshold-only semantics under test
 	if src.BatchSize() != 10 {
 		t.Fatal("batch size not applied")
 	}
@@ -139,67 +137,6 @@ func TestSDNTransportBatching(t *testing.T) {
 	}
 	_ = src.Send(Destination{Workers: []topology.WorkerID{2}}, tuple.New(tuple.Int(9)))
 	recvN(t, sinks[0], 10)
-}
-
-// TestSDNTransportFlushDeadline pins the bounded staging wait: tuples that
-// never reach the batch threshold must still flush once the deadline
-// expires, driven by the Recv calls the worker loop makes every iteration.
-func TestSDNTransportFlushDeadline(t *testing.T) {
-	_, src, sinks := newSwitchEnv(t, 1)
-	src.SetBatchSize(1000) // threshold unreachable in this test
-	src.SetFlushDeadline(5 * time.Millisecond)
-	if got := src.FlushDeadline(); got != 5*time.Millisecond {
-		t.Fatalf("FlushDeadline = %v, want 5ms", got)
-	}
-	for i := 0; i < 3; i++ {
-		if err := src.Send(Destination{Workers: []topology.WorkerID{2}}, tuple.New(tuple.Int(int64(i)))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// No explicit Flush: drive the source's loop the way Worker.run does
-	// (Recv every iteration) and wait for the deadline to push the batch out.
-	got := 0
-	deadline := time.Now().Add(5 * time.Second)
-	for got < 3 && time.Now().Before(deadline) {
-		if _, err := src.Recv(16, 0); err != nil {
-			t.Fatal(err)
-		}
-		out, err := sinks[0].Recv(64, 5*time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got += len(out)
-	}
-	if got != 3 {
-		t.Fatalf("deadline flush delivered %d of 3 tuples", got)
-	}
-	// Negative disables; zero is the wire-format "unchanged" and is ignored.
-	src.SetFlushDeadline(-1)
-	if src.FlushDeadline() != 0 {
-		t.Fatal("negative deadline should disable")
-	}
-	src.SetFlushDeadline(0)
-	if src.FlushDeadline() != 0 {
-		t.Fatal("zero deadline should be ignored")
-	}
-}
-
-// TestSDNTransportReconfigureFlushDeadline checks the BATCH_SIZE control
-// tuple's deadline field reaches the transport without disturbing the batch
-// threshold when Size is zero.
-func TestSDNTransportReconfigureFlushDeadline(t *testing.T) {
-	_, src, _ := newSwitchEnv(t, 1)
-	src.SetBatchSize(42)
-	in := control.Encode(control.KindBatchSize, control.BatchSize{FlushDeadline: 3 * time.Millisecond})
-	if err := src.Reconfigure(in); err != nil {
-		t.Fatal(err)
-	}
-	if got := src.FlushDeadline(); got != 3*time.Millisecond {
-		t.Fatalf("FlushDeadline = %v, want 3ms", got)
-	}
-	if src.BatchSize() != 42 {
-		t.Fatalf("BatchSize = %d, want 42 (Size 0 means unchanged)", src.BatchSize())
-	}
 }
 
 // TestSDNTransportRecvReusesSlice pins the zero-alloc delivery contract:
@@ -388,10 +325,11 @@ func TestSDNTransportClosedPort(t *testing.T) {
 func TestWorkerOverSDNTransport(t *testing.T) {
 	// End-to-end: real workers over a real switch.
 	_, srcTr, sinkTrs := newSwitchEnv(t, 1)
+	srcTr.SetBatchSize(10)
 	sink := &collector{}
 	startWorker(t, Config{App: 1, ID: 2, Node: "sink"}, sink, sinkTrs[0])
 	startWorker(t, Config{
-		App: 1, ID: 1, Node: "src", Source: true, BatchSize: 10,
+		App: 1, ID: 1, Node: "src", Source: true,
 		Routes: []topology.Route{dataRoute(2, topology.Shuffle)},
 	}, &seqSource{limit: 500}, srcTr)
 	waitFor(t, 10*time.Second, func() bool { return sink.count() == 500 })

@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -39,9 +40,10 @@ type Config struct {
 	// AckTimeout is how long a tracked tuple may stay incomplete before
 	// the source replays it.
 	AckTimeout time.Duration
-	// BatchSize is the initial I/O batch threshold.
-	BatchSize int
-	// FlushInterval bounds how long tuples may sit in the egress batch.
+	// FlushInterval bounds how long emitted tuples may sit staged in the
+	// transport (see flushIfDue). Zero selects DefaultFlushDeadline, negative
+	// disables the bound (only the transport's batch threshold flushes then);
+	// BATCH_SIZE control tuples retune it live.
 	FlushInterval time.Duration
 	// RateLimit is the initial input rate (tuples/sec); <= 0 unlimited.
 	RateLimit float64
@@ -70,6 +72,26 @@ type Stats struct {
 	QueueLen  int
 	ProcNanos uint64
 }
+
+// DefaultFlushDeadline is the default bound on how long an emitted tuple may
+// wait staged in the transport for its batch to fill.
+const DefaultFlushDeadline = time.Millisecond
+
+// The worker goroutine waits in exactly one place, Transport.Recv, and wakes
+// early on an incoming frame. After an iteration that did work it polls
+// (wait 0). A source keeps polling for idleSpinBudget more empty iterations:
+// blocking on the first empty Next would turn a paced source's emissions
+// into bursts one idle wait apart. Past the budget a source blocks for
+// sourceIdleWait and a bolt for boltIdleWait, capped at the flush deadline.
+const (
+	idleSpinBudget = 64
+	sourceIdleWait = 200 * time.Microsecond
+	boltIdleWait   = time.Millisecond
+)
+
+// errStopping aborts a batch when Stop arrives during the rate-limit wait; the
+// rest stays undispatched, like whatever is still queued in the transport.
+var errStopping = errors.New("worker: stopping")
 
 type pendingEntry struct {
 	stream   tuple.StreamID
@@ -101,6 +123,8 @@ type Worker struct {
 	failInj chan error
 	hangNs  atomic.Int64
 	slowNs  atomic.Int64
+
+	lastFlush time.Time // last deadline flush (flushIfDue)
 
 	// Framework-layer state for guaranteed processing.
 	rng     *rand.Rand
@@ -143,8 +167,8 @@ func New(cfg Config, tr Transport) (*Worker, error) {
 	if cfg.AckTimeout <= 0 {
 		cfg.AckTimeout = 5 * time.Second
 	}
-	if cfg.FlushInterval <= 0 {
-		cfg.FlushInterval = time.Millisecond
+	if cfg.FlushInterval == 0 {
+		cfg.FlushInterval = DefaultFlushDeadline
 	}
 	w := &Worker{
 		cfg:               cfg,
@@ -158,10 +182,6 @@ func New(cfg Config, tr Transport) (*Worker, error) {
 		rng:               rand.New(rand.NewSource(int64(cfg.ID)*2654435761 + 1)),
 		pending:           make(map[uint64]*pendingEntry),
 		CompleteLatencies: metrics.NewLatencies(0),
-	}
-	if cfg.BatchSize > 0 {
-		_ = tr.Reconfigure(control.Encode(control.KindBatchSize,
-			control.BatchSize{Size: cfg.BatchSize}))
 	}
 	if len(cfg.Subscriptions) > 0 {
 		w.subs = make(map[tuple.StreamID]bool, len(cfg.Subscriptions))
@@ -282,10 +302,15 @@ func (w *Worker) run() {
 	spout, _ := w.comp.(Spout)
 	bolt, _ := w.comp.(Bolt)
 
-	lastFlush := time.Now()
+	w.lastFlush = time.Now()
 	lastReplayScan := time.Now()
 	lastStats := time.Now()
+	idleWait := boltIdleWait
+	if spout != nil {
+		idleWait = sourceIdleWait
+	}
 	idleSpins := 0
+	wait := time.Duration(0)
 	for {
 		select {
 		case <-w.stopCh:
@@ -305,11 +330,6 @@ func (w *Worker) run() {
 			}
 		}
 
-		// Receive phase. Sources poll; bolts block briefly.
-		wait := time.Duration(0)
-		if spout == nil {
-			wait = time.Millisecond
-		}
 		tuples, err := w.tr.Recv(256, wait)
 		if err != nil {
 			// Transport closed underneath us. During a graceful Stop that
@@ -324,7 +344,9 @@ func (w *Worker) run() {
 		worked := len(tuples) > 0
 		for _, t := range tuples {
 			if err := w.dispatch(bolt, t); err != nil {
-				failure = err
+				if err != errStopping {
+					failure = err
+				}
 				return
 			}
 		}
@@ -342,10 +364,7 @@ func (w *Worker) run() {
 		}
 
 		now := time.Now()
-		if now.Sub(lastFlush) >= w.cfg.FlushInterval {
-			_ = w.tr.Flush()
-			lastFlush = now
-		}
+		w.flushIfDue(now, 1)
 		if w.cfg.Acking && w.cfg.Source && now.Sub(lastReplayScan) >= w.cfg.AckTimeout/4 {
 			w.replayExpired(now)
 			lastReplayScan = now
@@ -354,15 +373,38 @@ func (w *Worker) run() {
 			w.pushStats()
 			lastStats = now
 		}
-		if worked {
-			idleSpins = 0
-		} else {
+		switch {
+		case worked:
+			idleSpins, wait = 0, 0
+		case spout != nil && idleSpins < idleSpinBudget:
 			idleSpins++
-			if idleSpins > 64 {
-				time.Sleep(200 * time.Microsecond)
-			}
+			wait = 0
+		default:
+			wait = w.capWait(idleWait)
 		}
 	}
+}
+
+// flushIfDue is the one time bound on staging: it flushes the transport once
+// n deadlines have passed since the last flush. The loop asks with n = 1
+// between batches and on waking from a wait (capWait keeps waits to one
+// deadline), and with n = 2 after every executed tuple: a burst that ends in
+// time leaves whole at the batch boundary, a batch that overstays (slow
+// logic, the chaos Slow hook) is flushed all the same. A staged tuple waits
+// under two deadlines plus one Execute, half a deadline at the median.
+func (w *Worker) flushIfDue(now time.Time, n int) {
+	if every := w.cfg.FlushInterval; every > 0 && now.Sub(w.lastFlush) >= time.Duration(n)*every {
+		_ = w.tr.Flush()
+		w.lastFlush = now
+	}
+}
+
+// capWait keeps a wait of d from outlasting the flush deadline.
+func (w *Worker) capWait(d time.Duration) time.Duration {
+	if every := w.cfg.FlushInterval; every > 0 && every < d {
+		return every
+	}
+	return d
 }
 
 // dispatch routes one incoming tuple to the right layer.
@@ -389,10 +431,30 @@ func (w *Worker) dispatch(bolt Bolt, t tuple.Tuple) error {
 			w.filtered.Add(1)
 			return nil
 		}
-		for !w.rate.Allow() {
-			time.Sleep(100 * time.Microsecond)
+		if !w.awaitToken() {
+			return errStopping
 		}
 		return w.execute(bolt, t)
+	}
+}
+
+// awaitToken blocks until the input rate limiter grants a token, reporting
+// false if Stop arrives first. It wakes for the flush deadline meanwhile, so
+// what earlier tuples of the batch emitted does not wait out the throttle.
+func (w *Worker) awaitToken() bool {
+	for {
+		d := w.rate.take()
+		if d == 0 {
+			return true
+		}
+		timer := time.NewTimer(w.capWait(d))
+		select {
+		case <-w.stopCh:
+			timer.Stop()
+			return false
+		case <-timer.C:
+		}
+		w.flushIfDue(time.Now(), 1)
 	}
 }
 
@@ -405,7 +467,8 @@ func (w *Worker) execute(bolt Bolt, t tuple.Tuple) error {
 	w.curXor = t.ID
 	start := time.Now()
 	err := bolt.Execute(w.ctx, t)
-	w.procNanos.Add(uint64(time.Since(start)))
+	took := time.Since(start)
+	w.procNanos.Add(uint64(took))
 	w.processed.Add(1)
 	if err != nil {
 		w.anchor = false
@@ -415,6 +478,7 @@ func (w *Worker) execute(bolt Bolt, t tuple.Tuple) error {
 		w.sendAck(1, w.curRoot, w.curXor, 0)
 	}
 	w.anchor = false
+	w.flushIfDue(start.Add(took), 2)
 	return nil
 }
 
@@ -532,6 +596,14 @@ func (w *Worker) handleControl(t tuple.Tuple) {
 		if control.DecodePayload(t, &r) == nil {
 			w.rate.SetRate(r.TuplesPerSec)
 		}
+	case control.KindBatchSize:
+		// The time bound on staging is this loop's; the count threshold is
+		// the transport's, which takes the tuple whole.
+		var b control.BatchSize
+		if control.DecodePayload(t, &b) == nil && b.FlushDeadline != 0 {
+			w.cfg.FlushInterval = b.FlushDeadline
+		}
+		_ = w.tr.Reconfigure(t)
 	case control.KindActivate:
 		w.active.Store(true)
 	case control.KindDeactivate:
@@ -547,9 +619,9 @@ func (w *Worker) handleControl(t tuple.Tuple) {
 			w.restoreState(r)
 		}
 	default:
-		// Transport-level knobs (BATCH_SIZE today, future kinds) go to the
-		// transport whole: it decodes what it understands and ignores the
-		// rest, so new control-tuple kinds never widen the interface.
+		// Transport-level knobs go to the transport whole: it decodes what
+		// it understands and ignores the rest, so new control-tuple kinds
+		// never widen the interface.
 		_ = w.tr.Reconfigure(t)
 	}
 }

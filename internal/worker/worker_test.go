@@ -301,6 +301,125 @@ func TestSignalReachesApplicationLayer(t *testing.T) {
 	})
 }
 
+// stagingTransport holds every Send until Flush, like a transport whose
+// batch threshold is out of reach: only the worker loop's flush deadline (or
+// Stop's final flush) can move a tuple.
+type stagingTransport struct {
+	*ChanTransport
+	staged []stagedSend
+}
+
+type stagedSend struct {
+	d  Destination
+	in tuple.Tuple
+}
+
+func (s *stagingTransport) Send(d Destination, in tuple.Tuple) error {
+	s.staged = append(s.staged, stagedSend{d, in})
+	return nil
+}
+
+func (s *stagingTransport) Flush() error {
+	for _, st := range s.staged {
+		_ = s.ChanTransport.Send(st.d, st.in)
+	}
+	s.staged = s.staged[:0]
+	return nil
+}
+
+// TestFlushDeadline pins the one time bound on staging, owned by the worker
+// loop: the default moves staged tuples on its own, a negative deadline
+// leaves them staged until a BATCH_SIZE control tuple retunes it live or
+// Stop's final flush pushes them out.
+func TestFlushDeadline(t *testing.T) {
+	const n = 20
+	start := func(t *testing.T, deadline time.Duration) (*ChanNetwork, *Worker, *collector) {
+		net := NewChanNetwork()
+		sink := &collector{}
+		startWorker(t, Config{App: 1, ID: 2, Node: "sink"}, sink, net.Attach(2))
+		src := startWorker(t, Config{
+			App: 1, ID: 1, Node: "src", Source: true, FlushInterval: deadline,
+			Routes: []topology.Route{dataRoute(2, topology.Shuffle)},
+		}, &seqSource{limit: n}, &stagingTransport{ChanTransport: net.Attach(1)})
+		return net, src, sink
+	}
+	staged := func(t *testing.T, src *Worker, sink *collector) {
+		t.Helper()
+		waitFor(t, 5*time.Second, func() bool { return src.StatsSnapshot().Emitted == n })
+		time.Sleep(20 * DefaultFlushDeadline)
+		if got := sink.count(); got != 0 {
+			t.Fatalf("deadline disabled, yet %d tuples left the transport", got)
+		}
+	}
+	t.Run("default", func(t *testing.T) {
+		_, _, sink := start(t, 0)
+		waitFor(t, 5*time.Second, func() bool { return sink.count() == n })
+	})
+	t.Run("disabled until Stop", func(t *testing.T) {
+		_, src, sink := start(t, -1)
+		staged(t, src, sink)
+		src.Stop()
+		waitFor(t, 5*time.Second, func() bool { return sink.count() == n })
+	})
+	t.Run("disabled then retuned", func(t *testing.T) {
+		net, src, sink := start(t, -1)
+		staged(t, src, sink)
+		_ = net.Attach(99).Send(Destination{Workers: []topology.WorkerID{1}},
+			control.Encode(control.KindBatchSize, control.BatchSize{FlushDeadline: 2 * time.Millisecond}))
+		waitFor(t, 5*time.Second, func() bool { return sink.count() == n })
+	})
+}
+
+// TestFlushDeadlineInsideBatch: the bound holds while the loop is inside one
+// received batch. A forwarder throttled to 100 tuples/s takes 400 ms over a
+// 40-tuple batch; what it emits for the first tuple must leave on the
+// deadline, not when the batch is done.
+func TestFlushDeadlineInsideBatch(t *testing.T) {
+	const n = 40
+	net := NewChanNetwork()
+	sink := &collector{}
+	startWorker(t, Config{App: 1, ID: 3, Node: "sink"}, sink, net.Attach(3))
+	in := net.Attach(2)
+	feed := net.Attach(99)
+	for i := 0; i < n; i++ {
+		_ = feed.Send(Destination{Workers: []topology.WorkerID{2}}, tuple.New(tuple.Int(int64(i))))
+	}
+	// The whole batch is queued before the worker starts: one Recv takes it.
+	begin := time.Now()
+	fwd := startWorker(t, Config{
+		App: 1, ID: 2, Node: "fwd", RateLimit: 100,
+		Routes: []topology.Route{dataRoute(3, topology.Shuffle)},
+	}, forwarder{}, &stagingTransport{ChanTransport: in})
+	waitFor(t, 5*time.Second, func() bool { return sink.count() > 0 })
+	if done := fwd.StatsSnapshot().Processed; done >= n/2 {
+		t.Fatalf("first tuple left after %v with %d of %d dispatched; want it out on the deadline",
+			time.Since(begin), done, n)
+	}
+}
+
+// TestStopBehindRateLimit: Stop must not wait out the input rate limiter. A
+// sink at 0.5 tuples/s with five tuples in hand would otherwise take ~10 s.
+func TestStopBehindRateLimit(t *testing.T) {
+	net := NewChanNetwork()
+	tr := net.Attach(2)
+	sink := &collector{}
+	w := startWorker(t, Config{App: 1, ID: 2, Node: "sink", RateLimit: 0.5}, sink, tr)
+	feed := net.Attach(99)
+	for i := 0; i < 5; i++ {
+		_ = feed.Send(Destination{Workers: []topology.WorkerID{2}}, tuple.New(tuple.Int(int64(i))))
+	}
+	// The worker has taken the batch and sits in the rate-limit wait.
+	waitFor(t, 5*time.Second, func() bool { return tr.Stats().TuplesReceived > 0 })
+	begin := time.Now()
+	w.Stop()
+	if took := time.Since(begin); took > 200*time.Millisecond {
+		t.Fatalf("Stop took %v behind the rate limiter", took)
+	}
+	if got := sink.count(); got == 5 {
+		t.Fatal("whole batch dispatched; Stop should leave the rest undispatched")
+	}
+}
+
 func TestBatchSizeControl(t *testing.T) {
 	net := NewChanNetwork()
 	tr := net.Attach(2)
@@ -313,6 +432,22 @@ func TestBatchSizeControl(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if w.ExitErr() != nil {
 		t.Fatal(w.ExitErr())
+	}
+
+	// A deadline-only BATCH_SIZE tuple (Size 0) is forwarded to the transport
+	// too and must leave its count threshold alone.
+	_, srcTr, sinkTrs := newSwitchEnv(t, 1)
+	sinkTrs[0].SetBatchSize(42)
+	sink := &collector{}
+	startWorker(t, Config{App: 1, ID: 2, Node: "sdnsink"}, sink, sinkTrs[0])
+	to := Destination{Workers: []topology.WorkerID{2}}
+	_ = srcTr.Send(to, control.Encode(control.KindBatchSize, control.BatchSize{FlushDeadline: 2 * time.Millisecond}))
+	_ = srcTr.Send(to, tuple.New(tuple.Int(1)))
+	_ = srcTr.Flush()
+	// Frames keep their order, so the data tuple arrives after the control.
+	waitFor(t, 5*time.Second, func() bool { return sink.count() == 1 })
+	if got := sinkTrs[0].BatchSize(); got != 42 {
+		t.Fatalf("deadline-only BATCH_SIZE changed the threshold to %d", got)
 	}
 }
 

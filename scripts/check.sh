@@ -6,7 +6,18 @@ set -eux
 cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
+# The tuple path waits in Transport.Recv and in bounded ring enqueues, never
+# in a sleep-poll: the one time.Sleep allowed in the worker loop and the
+# tunnel is the chaos Slow hook in Worker.execute.
+if grep -n 'time\.Sleep' internal/core/tunnel.go internal/worker/worker.go |
+	grep -v 'worker.go:.*time\.Sleep(time\.Duration(ns))$'; then
+	echo "time.Sleep on the tuple path (see above)" >&2
+	exit 1
+fi
 go test -race ./...
+# bench/ is a module of its own, so ./... above does not see it; a signature
+# change must not break the benchmark unnoticed.
+(cd bench && go vet ./... && go test -short ./...)
 # Short fuzz smoke over the wire-format decoders (-fuzz takes one package
 # at a time). Failures land reproducer files under testdata/fuzz/.
 go test -fuzz '^FuzzDecode$' -fuzztime 5s -run '^FuzzDecode$' ./internal/openflow/
