@@ -81,8 +81,9 @@ func runTrace(cl *apiclient.Client, n int) {
 		return
 	}
 	for _, tr := range traces {
+		span, _ := tr.E2E() // a trace missing an endpoint hop prints 0
 		fmt.Printf("trace %d  e2e %.3fms  completed %s\n",
-			tr.ID, tr.E2ESeconds()*1e3, tr.CompletedAt.Format(time.TimeOnly))
+			tr.ID, float64(span)/float64(time.Millisecond), tr.CompletedAt.Format(time.TimeOnly))
 		var base int64
 		for _, h := range tr.Hops {
 			if base == 0 {

@@ -455,8 +455,8 @@ func BenchmarkEmitRecvBatchSweep(b *testing.B) {
 // steady path — what remains is amortized arena chunk growth and harness
 // noise, well under a tenth of an alloc per tuple.
 func TestEmitRecvAllocRegression(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark-backed guard")
+	if testing.Short() || raceEnabled {
+		t.Skip("benchmark-backed guard; the race runtime allocates")
 	}
 	_, allocs := runEmitRecv(300_000, benchBatchSize)
 	if allocs > 0.3 {
@@ -469,8 +469,8 @@ func TestEmitRecvAllocRegression(t *testing.T) {
 // must not allocate (the small budget absorbs ring-batch and timer noise
 // from the surrounding harness).
 func TestSwitchForwardAllocRegression(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark-backed guard")
+	if testing.Short() || raceEnabled {
+		t.Skip("benchmark-backed guard; the race runtime allocates")
 	}
 	_, allocs := runSwitchForward(300_000, 16, false)
 	if allocs > 0.05 {
@@ -483,8 +483,8 @@ func TestSwitchForwardAllocRegression(t *testing.T) {
 // wildcarded lookup that answers instead must both stay allocation-free
 // and actually be the layer answering (hit rate, upcall count).
 func TestMegaflowHitAllocRegression(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark-backed guard")
+	if testing.Short() || raceEnabled {
+		t.Skip("benchmark-backed guard; the race runtime allocates")
 	}
 	const n = 300_000
 	_, allocs, cnt := runSwitchScatter(n, 4096, 64)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"typhoon/internal/metrics"
 	"typhoon/internal/observe"
 	"typhoon/internal/topology"
 )
@@ -61,7 +62,7 @@ type Engine struct {
 	reg    *observe.Registry
 
 	mu       sync.Mutex
-	counters map[Kind]*observe.Counter
+	counters map[Kind]*metrics.Counter
 	log      []Injection
 	windows  int
 
@@ -76,7 +77,7 @@ func NewEngine(target Target, reg *observe.Registry) *Engine {
 	e := &Engine{
 		target:   target,
 		reg:      reg,
-		counters: make(map[Kind]*observe.Counter),
+		counters: make(map[Kind]*metrics.Counter),
 		stopCh:   make(chan struct{}),
 	}
 	if reg != nil {
@@ -275,7 +276,7 @@ func (e *Engine) record(s Spec, detail string) {
 			observe.Labels{"kind": string(s.Kind)})
 		e.counters[s.Kind] = c
 	} else if c == nil {
-		c = &observe.Counter{}
+		c = &metrics.Counter{}
 		e.counters[s.Kind] = c
 	}
 	e.log = append(e.log, Injection{At: time.Now(), Spec: s, Detail: detail})

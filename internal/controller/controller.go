@@ -432,6 +432,9 @@ func (c *Controller) serveDatapath(nc net.Conn) {
 	}
 	_ = xid
 	var dp *Datapath
+	// This loop is the arena's one owner; control tuples decoded from
+	// PacketIns take their storage with them (see tuple.Arena).
+	var arena tuple.Arena
 	for {
 		rxid, msg, err := conn.Receive()
 		if err != nil {
@@ -480,7 +483,7 @@ func (c *Controller) serveDatapath(nc net.Conn) {
 			if c.outage.Load() {
 				continue // a dead controller loses the event
 			}
-			c.handlePacketIn(dp, m)
+			c.handlePacketIn(dp, m, &arena)
 		case openflow.PortStatus:
 			if dp != nil && !c.outage.Load() {
 				for _, app := range c.appsSnapshot() {
@@ -500,7 +503,7 @@ func (c *Controller) serveDatapath(nc net.Conn) {
 	}
 }
 
-func (c *Controller) handlePacketIn(dp *Datapath, m openflow.PacketIn) {
+func (c *Controller) handlePacketIn(dp *Datapath, m openflow.PacketIn, arena *tuple.Arena) {
 	if dp == nil {
 		return
 	}
@@ -509,7 +512,7 @@ func (c *Controller) handlePacketIn(dp *Datapath, m openflow.PacketIn) {
 	// Try to decode a control tuple from the frame.
 	if f, err := packet.Decode(m.Data); err == nil && len(f.Tuples) > 0 {
 		for _, raw := range f.Tuples {
-			if tp, _, err := tuple.Decode(raw); err == nil && tp.Stream.IsControl() {
+			if tp, _, err := tuple.DecodeInto(raw, arena); err == nil && tp.Stream.IsControl() {
 				for _, app := range apps {
 					app.OnControlTuple(c, host, f.Src, tp)
 				}

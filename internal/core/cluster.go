@@ -20,6 +20,7 @@ import (
 	"typhoon/internal/controller"
 	"typhoon/internal/coordinator"
 	"typhoon/internal/manager"
+	"typhoon/internal/metrics"
 	"typhoon/internal/observe"
 	"typhoon/internal/paths"
 	"typhoon/internal/scheduler"
@@ -135,8 +136,8 @@ type Cluster struct {
 	// bandwidth-allocator app per instance, sharded like the updaters).
 	allocators []*controller.BandwidthAllocator
 
-	rescalePause *observe.Histogram
-	rescaleKeys  *observe.Counter
+	rescalePause *metrics.Histogram
+	rescaleKeys  *metrics.Counter
 
 	// scenarioMu serializes scenario runs (they own the shared-env run
 	// slot and the scn-* topology names).
@@ -224,7 +225,7 @@ func NewCluster(options ...Option) (*Cluster, error) {
 		c.Controller = c.controllers[0]
 		c.updater = c.updaters[0]
 		c.rescalePause = c.Obs.Registry.Histogram("typhoon_rescale_pause_seconds",
-			"Source pause duration of managed stable rescales.", nil, nil)
+			"Source pause duration of managed stable rescales.", nil)
 		c.rescaleKeys = c.Obs.Registry.Counter("typhoon_rescale_keys_migrated_total",
 			"State entries migrated by managed stable rescales.", nil)
 		c.fabric = newTunnelFabric()
@@ -475,7 +476,7 @@ func (c *Cluster) Rescale(ctx context.Context, topo, node string, parallelism in
 		if err != nil {
 			return nil, err
 		}
-		c.rescalePause.Observe(report.Pause.Seconds())
+		c.rescalePause.Record(report.Pause)
 		c.rescaleKeys.Add(uint64(report.KeysMigrated))
 		return report, nil
 	}

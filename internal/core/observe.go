@@ -42,8 +42,7 @@ func newObservability(traceEvery int) *Observability {
 	}
 	o.Traces.SetLatencyHistogram(o.Registry.Histogram(
 		"typhoon_trace_e2e_seconds",
-		"Emit-to-dequeue span of sampled tuple-path traces.",
-		nil, nil))
+		"Emit-to-dequeue span of sampled tuple-path traces.", nil))
 	o.Registry.CounterFunc("typhoon_traces_recorded_total",
 		"Completed tuple-path traces recorded (including evicted).",
 		nil, o.Traces.Total)

@@ -223,12 +223,11 @@ func downsample(s []float64, n int) []float64 {
 	return out
 }
 
-// cdfRow renders CDF points as a row.
-func cdfRow(label string, lat *metrics.Latencies) Row {
-	points := lat.CDF(10)
-	vals := make([]float64, 0, len(points))
-	for _, p := range points {
-		vals = append(vals, float64(p.Latency.Microseconds())/1000.0)
+// cdfRow renders the ten deciles P10…P100 as a row, in milliseconds.
+func cdfRow(label string, lat *metrics.Histogram) Row {
+	vals := make([]float64, 0, 10)
+	for i := 1; i <= 10; i++ {
+		vals = append(vals, float64(lat.Quantile(float64(i)/10).Microseconds())/1000.0)
 	}
 	return Row{Label: label, Values: vals}
 }

@@ -76,7 +76,7 @@ func TestDownsample(t *testing.T) {
 }
 
 func TestCDFRowConvertsToMilliseconds(t *testing.T) {
-	lat := metrics.NewLatencies(0)
+	lat := &metrics.Histogram{}
 	for i := 1; i <= 100; i++ {
 		lat.Record(time.Duration(i) * time.Millisecond)
 	}

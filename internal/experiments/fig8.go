@@ -119,7 +119,7 @@ func runLatency(id, title string, p Params, hosts int) Result {
 	return res
 }
 
-func measureLatency(mode core.Mode, batch, hosts int, p Params) (*metrics.Latencies, error) {
+func measureLatency(mode core.Mode, batch, hosts int, p Params) (*metrics.Histogram, error) {
 	e, err := startCluster(mode, hosts, func(c *core.Config) {
 		if batch > 0 {
 			c.DefaultBatchSize = batch

@@ -1,12 +1,11 @@
 // Package metrics provides the measurement primitives the evaluation
-// harness and the worker statistics reporter share: counters, windowed
-// throughput timelines, and latency distributions with CDF extraction
-// (Figs 8, 10-12 and 14 are all built from these).
+// harness, the worker statistics reporter, the scenario runner and the
+// /metrics registry share: counters, windowed throughput timelines, and
+// the one latency distribution (Figs 8, 10-12 and 14 are all built from
+// these).
 package metrics
 
 import (
-	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,111 +114,3 @@ func (tl *Timeline) Interval() time.Duration { return tl.interval }
 
 // Start returns the timeline origin.
 func (tl *Timeline) Start() time.Time { return tl.start }
-
-// Latencies collects duration samples with reservoir sampling so memory
-// stays bounded under multi-million-tuple runs, and extracts quantiles and
-// CDFs (Figs 8c/8d).
-type Latencies struct {
-	mu      sync.Mutex
-	samples []time.Duration
-	seen    uint64
-	maxKeep int
-	rng     *rand.Rand
-}
-
-// NewLatencies builds a recorder keeping at most maxKeep samples;
-// maxKeep <= 0 selects 100000.
-func NewLatencies(maxKeep int) *Latencies {
-	if maxKeep <= 0 {
-		maxKeep = 100000
-	}
-	return &Latencies{maxKeep: maxKeep, rng: rand.New(rand.NewSource(42))}
-}
-
-// Record adds one sample.
-func (l *Latencies) Record(d time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.seen++
-	if len(l.samples) < l.maxKeep {
-		l.samples = append(l.samples, d)
-		return
-	}
-	// Reservoir: replace a random slot with probability maxKeep/seen.
-	if idx := l.rng.Uint64() % l.seen; idx < uint64(l.maxKeep) {
-		l.samples[idx] = d
-	}
-}
-
-// Count returns the number of recorded samples (including evicted ones).
-func (l *Latencies) Count() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seen
-}
-
-// Quantile returns the q-quantile (0..1) of the retained samples, or zero
-// when empty.
-func (l *Latencies) Quantile(q float64) time.Duration {
-	s := l.sorted()
-	if len(s) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	return s[int(q*float64(len(s)-1)+0.5)]
-}
-
-// Mean returns the average of retained samples.
-func (l *Latencies) Mean() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.samples) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range l.samples {
-		sum += d
-	}
-	return sum / time.Duration(len(l.samples))
-}
-
-// CDFPoint is one (latency, cumulative fraction) pair.
-type CDFPoint struct {
-	Latency  time.Duration
-	Fraction float64
-}
-
-// CDF returns up to points evenly spaced CDF points.
-func (l *Latencies) CDF(points int) []CDFPoint {
-	s := l.sorted()
-	if len(s) == 0 {
-		return nil
-	}
-	if points <= 0 || points > len(s) {
-		points = len(s)
-	}
-	out := make([]CDFPoint, 0, points)
-	for i := 1; i <= points; i++ {
-		frac := float64(i) / float64(points)
-		idx := int(frac*float64(len(s))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		out = append(out, CDFPoint{Latency: s[idx], Fraction: frac})
-	}
-	return out
-}
-
-func (l *Latencies) sorted() []time.Duration {
-	l.mu.Lock()
-	s := make([]time.Duration, len(l.samples))
-	copy(s, l.samples)
-	l.mu.Unlock()
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s
-}

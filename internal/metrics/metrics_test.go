@@ -3,7 +3,6 @@ package metrics
 import (
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -89,76 +88,8 @@ func TestTimelineBucketCap(t *testing.T) {
 	}
 }
 
-func TestLatenciesQuantiles(t *testing.T) {
-	l := NewLatencies(0)
-	for i := 1; i <= 100; i++ {
-		l.Record(time.Duration(i) * time.Millisecond)
-	}
-	if l.Count() != 100 {
-		t.Fatalf("count = %d", l.Count())
-	}
-	if q := l.Quantile(0.5); q < 45*time.Millisecond || q > 55*time.Millisecond {
-		t.Fatalf("p50 = %v", q)
-	}
-	if l.Quantile(0) != time.Millisecond {
-		t.Fatalf("p0 = %v", l.Quantile(0))
-	}
-	if l.Quantile(1) != 100*time.Millisecond {
-		t.Fatalf("p100 = %v", l.Quantile(1))
-	}
-	if m := l.Mean(); m < 49*time.Millisecond || m > 52*time.Millisecond {
-		t.Fatalf("mean = %v", m)
-	}
-}
-
-func TestLatenciesEmpty(t *testing.T) {
-	l := NewLatencies(10)
-	if l.Quantile(0.5) != 0 || l.Mean() != 0 || l.CDF(5) != nil {
-		t.Fatal("empty recorder should return zeros")
-	}
-}
-
-func TestLatenciesReservoirBounded(t *testing.T) {
-	l := NewLatencies(100)
-	for i := 0; i < 10000; i++ {
-		l.Record(time.Duration(i))
-	}
-	if l.Count() != 10000 {
-		t.Fatalf("count = %d", l.Count())
-	}
-	l.mu.Lock()
-	n := len(l.samples)
-	l.mu.Unlock()
-	if n != 100 {
-		t.Fatalf("retained %d samples", n)
-	}
-}
-
-func TestCDFMonotonic(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		l := NewLatencies(0)
-		for _, v := range raw {
-			l.Record(time.Duration(v) * time.Microsecond)
-		}
-		cdf := l.CDF(10)
-		for i := 1; i < len(cdf); i++ {
-			if cdf[i].Latency < cdf[i-1].Latency || cdf[i].Fraction <= cdf[i-1].Fraction {
-				return false
-			}
-		}
-		return len(cdf) > 0 && cdf[len(cdf)-1].Fraction == 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestConcurrentTimelineAndLatencies(t *testing.T) {
+func TestConcurrentTimeline(t *testing.T) {
 	tl := NewTimeline(time.Now(), 10*time.Millisecond)
-	l := NewLatencies(1000)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -166,7 +97,6 @@ func TestConcurrentTimelineAndLatencies(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
 				tl.Add(time.Now(), 1)
-				l.Record(time.Duration(j))
 			}
 		}()
 	}
@@ -177,8 +107,5 @@ func TestConcurrentTimelineAndLatencies(t *testing.T) {
 	}
 	if sum != 2000 {
 		t.Fatalf("timeline sum = %v", sum)
-	}
-	if l.Count() != 2000 {
-		t.Fatalf("latency count = %d", l.Count())
 	}
 }

@@ -33,6 +33,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"typhoon/internal/metrics"
 )
 
 // Kind classifies a metric series for exposition.
@@ -97,18 +99,6 @@ func (l Labels) merged(over Labels) Labels {
 	return out
 }
 
-// Counter is a monotonically increasing metric owned by the registry.
-type Counter struct{ v atomic.Uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add increments by n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
 // Gauge is a settable instantaneous metric owned by the registry.
 type Gauge struct{ bits atomic.Uint64 }
 
@@ -131,7 +121,7 @@ type Sample struct {
 	// Value is the sample value (counters and gauges).
 	Value float64 `json:"value"`
 	// Hist is non-nil for histogram samples.
-	Hist *HistogramSnapshot `json:"hist,omitempty"`
+	Hist *metrics.HistogramSnapshot `json:"hist,omitempty"`
 }
 
 // series is one registered metric instance.
@@ -142,9 +132,9 @@ type series struct {
 	labels Labels
 	key    string // labels.canonical()
 
-	read  func() float64 // counter / gauge value at scrape time
-	hist  *Histogram     // histogram state (read is nil)
-	owned any            // registry-owned *Counter / *Gauge, if any
+	read  func() float64     // counter / gauge value at scrape time
+	hist  *metrics.Histogram // histogram state (read is nil)
+	owned any                // registry-owned *metrics.Counter / *Gauge, if any
 }
 
 // Registry is a concurrency-safe metric registry. All registration methods
@@ -186,17 +176,17 @@ func (r *Registry) register(name string, kind Kind, help string, labels Labels) 
 }
 
 // Counter registers (or retrieves) a counter series.
-func (r *Registry) Counter(name, help string, labels Labels) *Counter {
+func (r *Registry) Counter(name, help string, labels Labels) *metrics.Counter {
 	s := r.register(name, KindCounter, help, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if s.read == nil {
-		c := &Counter{}
+		c := &metrics.Counter{}
 		s.read = func() float64 { return float64(c.Value()) }
 		s.hist = nil
 		s.owned = c
 	}
-	c, _ := s.owned.(*Counter)
+	c, _ := s.owned.(*metrics.Counter)
 	return c
 }
 
@@ -232,14 +222,13 @@ func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64
 	s.read = fn
 }
 
-// Histogram registers (or retrieves) a histogram series with the given
-// bucket upper bounds; nil buckets selects DefLatencyBuckets.
-func (r *Registry) Histogram(name, help string, labels Labels, buckets []float64) *Histogram {
+// Histogram registers (or retrieves) a latency histogram series.
+func (r *Registry) Histogram(name, help string, labels Labels) *metrics.Histogram {
 	s := r.register(name, KindHistogram, help, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if s.hist == nil {
-		s.hist = newHistogram(buckets)
+		s.hist = &metrics.Histogram{}
 		s.read = nil
 	}
 	return s.hist
@@ -373,7 +362,7 @@ type Scope struct {
 func (r *Registry) With(base Labels) *Scope { return &Scope{r: r, base: base.merged(nil)} }
 
 // Counter registers a counter under the scope's base labels.
-func (s *Scope) Counter(name, help string, labels Labels) *Counter {
+func (s *Scope) Counter(name, help string, labels Labels) *metrics.Counter {
 	return s.r.Counter(name, help, s.base.merged(labels))
 }
 
@@ -393,8 +382,8 @@ func (s *Scope) GaugeFunc(name, help string, labels Labels, fn func() float64) {
 }
 
 // Histogram registers a histogram under the base labels.
-func (s *Scope) Histogram(name, help string, labels Labels, buckets []float64) *Histogram {
-	return s.r.Histogram(name, help, s.base.merged(labels), buckets)
+func (s *Scope) Histogram(name, help string, labels Labels) *metrics.Histogram {
+	return s.r.Histogram(name, help, s.base.merged(labels))
 }
 
 // Registry returns the underlying registry.

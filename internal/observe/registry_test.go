@@ -3,12 +3,16 @@ package observe
 import (
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"typhoon/internal/metrics"
 	"typhoon/internal/packet"
 )
 
@@ -28,8 +32,8 @@ func TestRegistryConcurrency(t *testing.T) {
 				c.Inc()
 				g := r.Gauge("typhoon_test_queue", "queue", labels)
 				g.Set(float64(j))
-				h := r.Histogram("typhoon_test_latency_seconds", "lat", labels, nil)
-				h.Observe(float64(j) / 1000)
+				h := r.Histogram("typhoon_test_latency_seconds", "lat", labels)
+				h.Record(time.Duration(j) * time.Millisecond)
 				r.GaugeFunc("typhoon_test_live", "live", labels, func() float64 { return 1 })
 			}
 		}(i)
@@ -67,10 +71,11 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r.Counter("typhoon_switch_tx_frames_total", "Frames delivered to ports.", Labels{"host": "h2"}).Add(7)
 	r.Gauge("typhoon_worker_queue_frames", "Worker input backlog.", Labels{"host": "h1", "worker": "3"}).Set(5)
 	r.GaugeFunc("typhoon_controller_datapaths", "Connected switches.", nil, func() float64 { return 2 })
-	h := r.Histogram("typhoon_trace_e2e_seconds", "Emit-to-dequeue trace span.", nil, []float64{0.001, 0.01})
-	h.Observe(0.0005)
-	h.Observe(0.002)
-	h.Observe(5)
+	h := r.Histogram("typhoon_trace_e2e_seconds", "Emit-to-dequeue trace span.", nil)
+	h.Record(500 * time.Microsecond)
+	h.Record(2 * time.Millisecond)
+	h.Record(5 * time.Second)
+	h.Record(time.Minute) // above the last bound: only +Inf covers it
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -85,17 +90,63 @@ typhoon_switch_tx_frames_total{host="h1"} 42
 typhoon_switch_tx_frames_total{host="h2"} 7
 # HELP typhoon_trace_e2e_seconds Emit-to-dequeue trace span.
 # TYPE typhoon_trace_e2e_seconds histogram
+typhoon_trace_e2e_seconds_bucket{le="3.16e-06"} 0
+typhoon_trace_e2e_seconds_bucket{le="1e-05"} 0
+typhoon_trace_e2e_seconds_bucket{le="3.16e-05"} 0
+typhoon_trace_e2e_seconds_bucket{le="0.0001"} 0
+typhoon_trace_e2e_seconds_bucket{le="0.000316"} 0
 typhoon_trace_e2e_seconds_bucket{le="0.001"} 1
+typhoon_trace_e2e_seconds_bucket{le="0.00316"} 2
 typhoon_trace_e2e_seconds_bucket{le="0.01"} 2
-typhoon_trace_e2e_seconds_bucket{le="+Inf"} 3
-typhoon_trace_e2e_seconds_sum 5.0025
-typhoon_trace_e2e_seconds_count 3
+typhoon_trace_e2e_seconds_bucket{le="0.0316"} 2
+typhoon_trace_e2e_seconds_bucket{le="0.1"} 2
+typhoon_trace_e2e_seconds_bucket{le="0.316"} 2
+typhoon_trace_e2e_seconds_bucket{le="1"} 2
+typhoon_trace_e2e_seconds_bucket{le="3.16"} 2
+typhoon_trace_e2e_seconds_bucket{le="10"} 3
+typhoon_trace_e2e_seconds_bucket{le="31.6"} 3
+typhoon_trace_e2e_seconds_bucket{le="+Inf"} 4
+typhoon_trace_e2e_seconds_sum 65.0025
+typhoon_trace_e2e_seconds_count 4
 # HELP typhoon_worker_queue_frames Worker input backlog.
 # TYPE typhoon_worker_queue_frames gauge
 typhoon_worker_queue_frames{host="h1",worker="3"} 5
 `
 	if sb.String() != want {
 		t.Fatalf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", sb.String(), want)
+	}
+}
+
+// TestHistogramExpositionCumulative: whatever was recorded, the bucket lines
+// never decrease and the +Inf line equals _count.
+func TestHistogramExpositionCumulative(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("typhoon_x_seconds", "x", nil)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 1000; i++ { // log-uniform 100ns…1000s
+		h.Record(time.Duration(100 * math.Pow(1e10, rng.Float64())))
+	}
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var prev, buckets uint64
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if !strings.HasPrefix(line, "typhoon_x_seconds_bucket{") {
+			continue
+		}
+		var n uint64
+		if _, err := fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &n); err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		if n < prev {
+			t.Errorf("%q: cumulative count fell from %d", line, prev)
+		}
+		prev = n
+		buckets++
+	}
+	if buckets != 16 || prev != 1000 || !strings.Contains(sb.String(), "typhoon_x_seconds_count 1000\n") {
+		t.Fatalf("%d bucket lines, +Inf = %d, want 16 lines ending at the count of 1000:\n%s", buckets, prev, sb.String())
 	}
 }
 
@@ -170,11 +221,35 @@ func TestTraceLogRing(t *testing.T) {
 			t.Fatalf("recent[%d].ID = %d, want %d", i, recent[i].ID, want)
 		}
 	}
-	if got := recent[0].E2ESeconds(); got <= 0 {
-		t.Fatalf("e2e span = %v", got)
+	if got, ok := recent[0].E2E(); !ok || got != 6*time.Microsecond {
+		t.Fatalf("e2e span = %v, %v", got, ok)
 	}
 	if got := l.Recent(2); len(got) != 2 || got[0].ID != 6 {
 		t.Fatalf("Recent(2) = %+v", got)
+	}
+}
+
+// TestTraceLogRecordsSubTickSpan: a trace whose emit and dequeue hops fall in
+// the same coarse-clock tick is a zero span, not a missing one, so the
+// latency histogram counts it; a trace that never reached a dequeue is the
+// one that is skipped.
+func TestTraceLogRecordsSubTickSpan(t *testing.T) {
+	l := NewTraceLog(4)
+	h := &metrics.Histogram{}
+	l.SetLatencyHistogram(h)
+	l.Record(packet.TraceAnnex{ID: 1, Hops: []packet.TraceHop{
+		{Kind: packet.HopEmit, At: 1000},
+		{Kind: packet.HopDequeue, At: 1000},
+	}})
+	if h.Count() != 1 || h.Max() != 0 {
+		t.Fatalf("sub-tick span: count = %d, max = %v; want one zero-length observation", h.Count(), h.Max())
+	}
+	l.Record(packet.TraceAnnex{ID: 2, Hops: []packet.TraceHop{
+		{Kind: packet.HopEmit, At: 1000},
+		{Kind: packet.HopSwitchIn, At: 2000},
+	}})
+	if h.Count() != 1 || l.Total() != 2 {
+		t.Fatalf("trace without a dequeue hop: histogram count = %d (want 1), traces = %d (want 2)", h.Count(), l.Total())
 	}
 }
 

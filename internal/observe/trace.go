@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"typhoon/internal/metrics"
 	"typhoon/internal/packet"
 )
 
@@ -52,9 +53,10 @@ type TraceRecord struct {
 	CompletedAt time.Time `json:"completedAt"`
 }
 
-// E2ESeconds returns the emit-to-dequeue wall-clock span of the trace, or
-// zero when either endpoint hop is missing.
-func (t TraceRecord) E2ESeconds() float64 {
+// E2E returns the emit-to-dequeue span of the trace; ok is false when either
+// endpoint hop is missing or they are out of order. A span of zero is a
+// real reading: both hops fell inside one tick of the coarse clock.
+func (t TraceRecord) E2E() (span time.Duration, ok bool) {
 	var first, last int64
 	for _, h := range t.Hops {
 		if h.Kind == packet.HopEmit && first == 0 {
@@ -65,9 +67,9 @@ func (t TraceRecord) E2ESeconds() float64 {
 		}
 	}
 	if first == 0 || last == 0 || last < first {
-		return 0
+		return 0, false
 	}
-	return time.Duration(last - first).Seconds()
+	return time.Duration(last - first), true
 }
 
 // TraceLog is a bounded ring of completed traces — the live-debugger's and
@@ -78,7 +80,7 @@ type TraceLog struct {
 	next  int
 	total uint64
 
-	e2e *Histogram // optional: registered by the cluster assembly
+	e2e *metrics.Histogram // optional: registered by the cluster assembly
 }
 
 // DefaultTraceLogCapacity bounds the retained trace window.
@@ -93,9 +95,9 @@ func NewTraceLog(capacity int) *TraceLog {
 	return &TraceLog{buf: make([]TraceRecord, 0, capacity)}
 }
 
-// SetLatencyHistogram attaches a histogram that every completed trace's
-// emit-to-dequeue span is observed into.
-func (l *TraceLog) SetLatencyHistogram(h *Histogram) {
+// SetLatencyHistogram attaches a histogram that records the emit-to-dequeue
+// span of every completed trace that carries both endpoint hops.
+func (l *TraceLog) SetLatencyHistogram(h *metrics.Histogram) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.e2e = h
@@ -116,8 +118,8 @@ func (l *TraceLog) Record(a packet.TraceAnnex) {
 	h := l.e2e
 	l.mu.Unlock()
 	if h != nil {
-		if s := rec.E2ESeconds(); s > 0 {
-			h.Observe(s)
+		if span, ok := rec.E2E(); ok {
+			h.Record(span)
 		}
 	}
 }

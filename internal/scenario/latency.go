@@ -1,71 +1,11 @@
 package scenario
 
 import (
-	"math"
 	"sync"
 	"time"
+
+	"typhoon/internal/metrics"
 )
-
-// Log-spaced latency buckets: hbuckets buckets growing geometrically from
-// hmin, spanning ~1µs to ~100s with ≤8% quantile error — constant memory
-// per sample slot, which is what lets a soak sample trajectories for
-// hours.
-const (
-	hbuckets = 128
-	hmin     = float64(time.Microsecond)
-	hmax     = float64(100 * time.Second)
-)
-
-var hgrowth = math.Pow(hmax/hmin, 1.0/float64(hbuckets))
-
-// histo is one fixed-size log-bucketed latency histogram.
-type histo struct {
-	count  int64
-	max    time.Duration
-	bucket [hbuckets]int64
-}
-
-func (h *histo) record(lat time.Duration) {
-	if lat < 0 {
-		lat = 0
-	}
-	i := 0
-	if f := float64(lat); f > hmin {
-		i = int(math.Log(f/hmin) / math.Log(hgrowth))
-		if i >= hbuckets {
-			i = hbuckets - 1
-		}
-	}
-	h.bucket[i]++
-	h.count++
-	if lat > h.max {
-		h.max = lat
-	}
-}
-
-// quantile returns the q-quantile as the geometric midpoint of the bucket
-// holding the q-th observation.
-func (h *histo) quantile(q float64) time.Duration {
-	if h.count == 0 {
-		return 0
-	}
-	rank := int64(q * float64(h.count))
-	if rank >= h.count {
-		rank = h.count - 1
-	}
-	var seen int64
-	for i, n := range h.bucket {
-		seen += n
-		if seen > rank {
-			mid := hmin * math.Pow(hgrowth, float64(i)+0.5)
-			if d := time.Duration(mid); d < h.max {
-				return d
-			}
-			return h.max
-		}
-	}
-	return h.max
-}
 
 // Trajectory accumulates latencies into per-interval histograms over the
 // run clock plus one overall histogram, yielding percentile trajectories
@@ -73,8 +13,8 @@ func (h *histo) quantile(q float64) time.Duration {
 type Trajectory struct {
 	mu       sync.Mutex
 	interval time.Duration
-	slots    []*histo
-	overall  histo
+	slots    []*metrics.Histogram
+	overall  metrics.Histogram
 }
 
 // NewTrajectory builds a trajectory sampled at the given interval.
@@ -97,17 +37,10 @@ func (t *Trajectory) Record(at time.Duration, lat time.Duration) {
 		t.slots = append(t.slots, nil)
 	}
 	if t.slots[slot] == nil {
-		t.slots[slot] = &histo{}
+		t.slots[slot] = &metrics.Histogram{}
 	}
-	t.slots[slot].record(lat)
-	t.overall.record(lat)
-}
-
-// Count reports total recorded observations.
-func (t *Trajectory) Count() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.overall.count
+	t.slots[slot].Record(lat)
+	t.overall.Record(lat)
 }
 
 // TrajPoint is one sampled interval of a latency trajectory.
@@ -141,31 +74,24 @@ func (t *Trajectory) Report() LatencyReport {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	r := LatencyReport{
-		Count:  t.overall.count,
-		P50ms:  ms(t.overall.quantile(0.50)),
-		P99ms:  ms(t.overall.quantile(0.99)),
-		P999ms: ms(t.overall.quantile(0.999)),
-		MaxMs:  ms(t.overall.max),
+		Count:  int64(t.overall.Count()),
+		P50ms:  ms(t.overall.Quantile(0.50)),
+		P99ms:  ms(t.overall.Quantile(0.99)),
+		P999ms: ms(t.overall.Quantile(0.999)),
+		MaxMs:  ms(t.overall.Max()),
 	}
 	for i, h := range t.slots {
-		if h == nil || h.count == 0 {
+		if h == nil {
 			continue
 		}
 		r.Trajectory = append(r.Trajectory, TrajPoint{
 			TSec:   float64(time.Duration(i)*t.interval) / float64(time.Second),
-			Count:  h.count,
-			P50ms:  ms(h.quantile(0.50)),
-			P99ms:  ms(h.quantile(0.99)),
-			P999ms: ms(h.quantile(0.999)),
-			MaxMs:  ms(h.max),
+			Count:  int64(h.Count()),
+			P50ms:  ms(h.Quantile(0.50)),
+			P99ms:  ms(h.Quantile(0.99)),
+			P999ms: ms(h.Quantile(0.999)),
+			MaxMs:  ms(h.Max()),
 		})
 	}
 	return r
-}
-
-// P99 reports the overall p99 (the open-loop stall test's probe).
-func (t *Trajectory) P99() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.overall.quantile(0.99)
 }

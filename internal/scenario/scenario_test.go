@@ -5,6 +5,8 @@ package scenario_test
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -14,7 +16,9 @@ import (
 
 	"typhoon/internal/apiclient"
 	"typhoon/internal/core"
+	"typhoon/internal/observe"
 	"typhoon/internal/scenario"
+	"typhoon/internal/worker"
 	"typhoon/internal/workload"
 )
 
@@ -96,6 +100,36 @@ func TestScenarioSpecParse(t *testing.T) {
 // TestScenarioSteadyStrict runs the steady-skewed spec briefly under the
 // strict no-loss gate: every invariant must hold and the report must carry
 // a multi-point percentile trajectory, not one end-of-run summary.
+// TestOnePercentileDefinition records one seeded sample set through the
+// three places a latency percentile is produced — a source worker's
+// CompleteLatencies (Fig 8c/8d), a scenario LatencyReport (BENCH_e2e.json)
+// and a registry histogram (/metrics) — and requires the same numbers.
+func TestOnePercentileDefinition(t *testing.T) {
+	src, err := worker.New(worker.Config{Logic: workload.LogicSeqSource, Source: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traj := scenario.NewTrajectory(time.Second)
+	scraped := observe.NewRegistry().Histogram("typhoon_x_seconds", "x", nil)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 5000; i++ { // log-uniform 10µs…1s
+		d := time.Duration(1e4 * math.Pow(1e5, rng.Float64()))
+		src.CompleteLatencies.Record(d)
+		traj.Record(0, d)
+		scraped.Record(d)
+	}
+	rep := traj.Report()
+	for _, c := range []struct{ q, reportMs float64 }{{0.5, rep.P50ms}, {0.99, rep.P99ms}, {0.999, rep.P999ms}, {1, rep.MaxMs}} {
+		want := src.CompleteLatencies.Quantile(c.q)
+		if got := scraped.Quantile(c.q); got != want || want == 0 {
+			t.Errorf("q=%v: /metrics histogram says %v, CompleteLatencies %v", c.q, got, want)
+		}
+		if got := time.Duration(math.Round(c.reportMs * float64(time.Millisecond))); got != want {
+			t.Errorf("q=%v: scenario report says %v, CompleteLatencies %v", c.q, got, want)
+		}
+	}
+}
+
 func TestScenarioSteadyStrict(t *testing.T) {
 	spec := loadSpec(t, "steady-skewed.json")
 	spec.SampleInterval = workload.Duration(500 * time.Millisecond)

@@ -66,7 +66,10 @@ func Encode(t Tuple) []byte {
 }
 
 // Decode parses one tuple from the front of buf and returns it together
-// with the number of bytes consumed.
+// with the number of bytes consumed. It allocates the values slice and every
+// string or bytes field on the heap. Production code decodes through an
+// Arena; Decode stays as the reference the codec tests and fuzzers compare
+// DecodeInto and DecodeBatch against.
 func Decode(buf []byte) (Tuple, int, error) {
 	if len(buf) < 20 {
 		return Tuple{}, 0, ErrTruncated

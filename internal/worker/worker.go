@@ -135,7 +135,7 @@ type Worker struct {
 
 	// CompleteLatencies records end-to-end tuple latency observed at the
 	// source when acking is enabled (Figs 8c/8d are its CDF).
-	CompleteLatencies *metrics.Latencies
+	CompleteLatencies *metrics.Histogram
 
 	processed atomic.Uint64
 	emitted   atomic.Uint64
@@ -181,7 +181,7 @@ func New(cfg Config, tr Transport) (*Worker, error) {
 		failInj:           make(chan error, 1),
 		rng:               rand.New(rand.NewSource(int64(cfg.ID)*2654435761 + 1)),
 		pending:           make(map[uint64]*pendingEntry),
-		CompleteLatencies: metrics.NewLatencies(0),
+		CompleteLatencies: &metrics.Histogram{},
 	}
 	if len(cfg.Subscriptions) > 0 {
 		w.subs = make(map[tuple.StreamID]bool, len(cfg.Subscriptions))

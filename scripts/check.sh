@@ -14,6 +14,14 @@ if grep -n 'time\.Sleep' internal/core/tunnel.go internal/worker/worker.go |
 	echo "time.Sleep on the tuple path (see above)" >&2
 	exit 1
 fi
+# One place computes a latency percentile: metrics.Histogram.Quantile
+# (bench/ is benchmark-owned and keeps its own).
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
+	'^func (\([^)]*\) )?[A-Za-z0-9_]*uantile' . |
+	grep -v -e '^\./internal/metrics/' -e '^\./bench/'; then
+	echo "a quantile function outside internal/metrics (see above)" >&2
+	exit 1
+fi
 go test -race ./...
 # bench/ is a module of its own, so ./... above does not see it; a signature
 # change must not break the benchmark unnoticed.
