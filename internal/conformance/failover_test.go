@@ -93,3 +93,53 @@ func TestConformanceMasterFailover(t *testing.T) {
 		t.FailNow()
 	}
 }
+
+// TestWorkerRowsFreshThroughControllerFaults: the worker rows /api/v1/top
+// serves keep refreshing while the first controller — the one a chaos outage
+// always hits — is deaf to PacketIns, and after the controller then mastering
+// h1 is killed. Any running controller's table can serve them.
+func TestWorkerRowsFreshThroughControllerFaults(t *testing.T) {
+	p := &Params{Keys: 8, PerKey: 50, Window: 25, Seed: 12}
+	c, _ := newReplicatedHarness(t, p, false)
+	if err := c.Submit(buildTopo(t, "conf-rows", 2), 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	oldest := func() float64 {
+		rows := c.TopSnapshot().Workers
+		if len(rows) == 0 {
+			return 1e9
+		}
+		age := 0.0
+		for _, r := range rows {
+			age = max(age, r.AgeSecs)
+		}
+		return age
+	}
+	// Unsolicited pushes come every 500 ms and sweeps every second, so a
+	// served table never holds a row much older than that.
+	const fresh = 2.0
+	staysFresh := func(what string) {
+		t.Helper()
+		waitCond(t, 10*time.Second, "rows "+what, func() bool { return oldest() < fresh })
+		for end := time.Now().Add(4 * time.Second); time.Now().Before(end); time.Sleep(100 * time.Millisecond) {
+			if age := oldest(); age >= fresh {
+				t.Fatalf("%s: oldest worker row is %.2fs old", what, age)
+			}
+		}
+	}
+
+	c.Controller.BeginOutage()
+	staysFresh("during an outage of the first controller")
+	c.Controller.EndOutage()
+
+	var victim string
+	waitCond(t, 10*time.Second, "h1 has a master", func() bool {
+		var ok bool
+		victim, _, ok = c.MasterOf("h1")
+		return ok
+	})
+	if err := c.KillController(victim); err != nil {
+		t.Fatal(err)
+	}
+	staysFresh("after killing " + victim)
+}

@@ -26,7 +26,7 @@ type Kind string
 // tuple, and who consumes it; "controller → worker" kinds ride PACKET_OUT
 // through the switch onto the worker's port, "worker → controller" kinds are
 // punted to the controller by the control-stream flow rule and dispatched to
-// apps via App.OnControlTuple.
+// apps via App.OnControlTuple (METRIC_RESP is recorded by the host first).
 const (
 	// KindRouting updates a worker's routing state (§3.3.2). Payload
 	// Routing. Emitted by the controller's reconfiguration sync and the
@@ -39,16 +39,19 @@ const (
 	// tuple to the application layer (Listing 2's isSignalTuple pattern).
 	KindSignal Kind = "SIGNAL"
 	// KindMetricReq requests a worker's internal statistics. Payload
-	// MetricReq. Emitted by the auto-scaler and metrics-collector apps;
-	// consumed by the worker framework layer, which answers with a
-	// KindMetricResp carrying the request's token.
+	// MetricReq. Emitted by the controller's app host — one sweep per
+	// owned topology per tick, whichever apps asked (token 0) — and by the
+	// updater's drain barrier (its own tokens); consumed by the worker
+	// framework layer, which answers with a KindMetricResp carrying the
+	// request's token.
 	KindMetricReq Kind = "METRIC_REQ"
 	// KindMetricResp carries a worker's statistics to the controller.
 	// Payload MetricResp. Emitted by workers — both as the answer to
 	// KindMetricReq and unsolicited every StatsInterval (Fig 4's worker
-	// statistics reporter); consumed by the auto-scaler and the
-	// metrics-collector, which caches the rows behind /api/v1/top and the
-	// typhoon_worker_* metrics.
+	// statistics reporter); consumed by the controller's app host, which
+	// decodes it once into its (topology, worker) table — what the §4 apps,
+	// /api/v1/top and the typhoon_worker_* metrics read — and by the
+	// updater, which matches its barrier's tokens.
 	KindMetricResp Kind = "METRIC_RESP"
 	// KindInputRate throttles a worker's input processing rate. Payload
 	// InputRate. Emitted by controller apps (experiments use it to shape

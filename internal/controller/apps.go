@@ -8,7 +8,6 @@ import (
 	"typhoon/internal/openflow"
 	"typhoon/internal/packet"
 	"typhoon/internal/topology"
-	"typhoon/internal/tuple"
 )
 
 // FaultDetector is the §4 fault-detector app: instead of waiting for
@@ -117,26 +116,21 @@ type AutoScalePolicy struct {
 	Cooldown time.Duration
 }
 
-// AutoScaler is the §4 auto-scaler app: it polls worker statistics with
-// METRIC_REQ control tuples and initiates scale up/down through the
-// streaming manager when queue levels cross thresholds (Fig 11).
+// AutoScaler is the §4 auto-scaler app: it reads the controller's worker
+// statistics and initiates scale up/down through the streaming manager when
+// queue levels cross thresholds (Fig 11).
 type AutoScaler struct {
 	BaseApp
 
 	mu       sync.Mutex
 	policies []AutoScalePolicy
-	latest   map[string]map[topology.WorkerID]control.MetricResp
 	lastAct  map[string]time.Time
-	token    uint64
 	scaleUps int
 }
 
 // NewAutoScaler builds the app.
 func NewAutoScaler() *AutoScaler {
-	return &AutoScaler{
-		latest:  make(map[string]map[topology.WorkerID]control.MetricResp),
-		lastAct: make(map[string]time.Time),
-	}
+	return &AutoScaler{lastAct: make(map[string]time.Time)}
 }
 
 // Name implements App.
@@ -163,8 +157,6 @@ func (a *AutoScaler) ScaleUps() int {
 func (a *AutoScaler) OnTick(c *Controller) {
 	a.mu.Lock()
 	policies := append([]AutoScalePolicy(nil), a.policies...)
-	a.token++
-	token := a.token
 	a.mu.Unlock()
 
 	for _, pol := range policies {
@@ -175,34 +167,10 @@ func (a *AutoScaler) OnTick(c *Controller) {
 		if l == nil {
 			continue
 		}
-		for _, as := range p.Instances(pol.Node) {
-			_ = c.SendControlTuple(pol.Topo, as.Worker,
-				control.Encode(control.KindMetricReq, control.MetricReq{Token: token}))
-		}
+		c.RequestWorkerStats(pol.Topo)
 		a.evaluate(c, pol, l, p)
 	}
 }
-
-// OnControlTuple implements App: collect METRIC_RESP statistics.
-func (a *AutoScaler) OnControlTuple(c *Controller, host string, src packet.Addr, t tuple.Tuple) {
-	kind, err := control.DecodeKind(t)
-	if err != nil || kind != control.KindMetricResp {
-		return
-	}
-	var mr control.MetricResp
-	if control.DecodePayload(t, &mr) != nil {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	key := nodeKey(mr.Node)
-	if a.latest[key] == nil {
-		a.latest[key] = make(map[topology.WorkerID]control.MetricResp)
-	}
-	a.latest[key][mr.Worker] = mr
-}
-
-func nodeKey(node string) string { return node }
 
 func (a *AutoScaler) evaluate(c *Controller, pol AutoScalePolicy, l *topology.Logical, p *topology.Physical) {
 	mgr := c.Manager()
@@ -213,11 +181,11 @@ func (a *AutoScaler) evaluate(c *Controller, pol AutoScalePolicy, l *topology.Lo
 	if node == nil {
 		return
 	}
+	stats := c.WorkerStats(pol.Topo)
 	a.mu.Lock()
-	stats := a.latest[nodeKey(pol.Node)]
 	last := a.lastAct[pol.Topo+"/"+pol.Node]
-	var maxQ, minQ, seen int
-	minQ = 1 << 30
+	a.mu.Unlock()
+	var maxQ, seen int
 	for _, as := range p.Instances(pol.Node) {
 		mr, ok := stats[as.Worker]
 		if !ok {
@@ -227,11 +195,7 @@ func (a *AutoScaler) evaluate(c *Controller, pol AutoScalePolicy, l *topology.Lo
 		if mr.QueueLen > maxQ {
 			maxQ = mr.QueueLen
 		}
-		if mr.QueueLen < minQ {
-			minQ = mr.QueueLen
-		}
 	}
-	a.mu.Unlock()
 	if seen == 0 || time.Since(last) < pol.Cooldown {
 		return
 	}

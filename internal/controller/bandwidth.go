@@ -5,11 +5,8 @@ import (
 	"sort"
 	"sync"
 
-	"typhoon/internal/control"
 	"typhoon/internal/openflow"
-	"typhoon/internal/packet"
 	"typhoon/internal/topology"
-	"typhoon/internal/tuple"
 )
 
 // TopologyQoS is one topology's row of the QoS status surface: its rate
@@ -21,9 +18,6 @@ type TopologyQoS struct {
 	ConfiguredBps uint64            `json:"configuredBps"`
 	HostRates     map[string]uint64 `json:"hostRates,omitempty"`
 }
-
-// QoSEnabled reports whether this controller compiles QoS into rules.
-func (c *Controller) QoSEnabled() bool { return c.opts.EnableQoS }
 
 // QoSStatus snapshots the QoS assignment of every tracked topology.
 func (c *Controller) QoSStatus() []TopologyQoS {
@@ -106,9 +100,9 @@ type BandwidthConfig struct {
 }
 
 // BandwidthAllocator is the QoS control plane app: an online feedback loop
-// that polls worker statistics with METRIC_REQ sweeps (like the
-// auto-scaler) and continuously reassigns per-topology meter rates from
-// observed demand. Guaranteed tenants are never policed — their protection
+// that reads the controller's worker statistics (like the auto-scaler) and
+// continuously reassigns per-topology meter rates from observed demand.
+// Guaranteed tenants are never policed — their protection
 // is the egress queue weight plus the caps this app keeps on everyone
 // else; burstable tenants split the spare capacity left after guaranteed
 // floors in proportion to demand; best-effort tenants share a quarter of
@@ -124,14 +118,10 @@ type BandwidthAllocator struct {
 
 	cfg BandwidthConfig
 
-	mu    sync.Mutex
-	token uint64
-	// latest maps app ID → worker → newest metric response.
-	latest map[uint16]map[topology.WorkerID]control.MetricResp
-	// prevEmitted remembers the last emitted counter per worker so demand
-	// is a per-tick delta, not a lifetime total.
-	prevEmitted map[topology.WorkerID]uint64
-	reassigns   int
+	mu sync.Mutex
+	// prevEmitted remembers the last emitted counter per worker of each
+	// topology so demand is a per-tick delta, not a lifetime total.
+	prevEmitted map[string]map[topology.WorkerID]uint64
 }
 
 // NewBandwidthAllocator builds the app.
@@ -147,40 +137,12 @@ func NewBandwidthAllocator(cfg BandwidthConfig) *BandwidthAllocator {
 	}
 	return &BandwidthAllocator{
 		cfg:         cfg,
-		latest:      make(map[uint16]map[topology.WorkerID]control.MetricResp),
-		prevEmitted: make(map[topology.WorkerID]uint64),
+		prevEmitted: make(map[string]map[topology.WorkerID]uint64),
 	}
 }
 
 // Name implements App.
 func (b *BandwidthAllocator) Name() string { return "bandwidth-allocator" }
-
-// Reassigns reports how many meter-rate reassignments were issued.
-func (b *BandwidthAllocator) Reassigns() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.reassigns
-}
-
-// OnControlTuple implements App: collect METRIC_RESP statistics keyed by
-// the sender's application ID (the topology's data-plane identity).
-func (b *BandwidthAllocator) OnControlTuple(c *Controller, host string, src packet.Addr, t tuple.Tuple) {
-	kind, err := control.DecodeKind(t)
-	if err != nil || kind != control.KindMetricResp {
-		return
-	}
-	var mr control.MetricResp
-	if control.DecodePayload(t, &mr) != nil {
-		return
-	}
-	b.mu.Lock()
-	app := src.App()
-	if b.latest[app] == nil {
-		b.latest[app] = make(map[topology.WorkerID]control.MetricResp)
-	}
-	b.latest[app][mr.Worker] = mr
-	b.mu.Unlock()
-}
 
 // tenant is one topology's per-tick allocation state on one host.
 type tenant struct {
@@ -190,36 +152,31 @@ type tenant struct {
 	demand uint64 // emitted delta + backlog, the proportional-share weight
 }
 
-// OnTick implements App: sweep metrics for owned topologies, then compute
-// and apply per-host rate assignments for mastered switches.
+// OnTick implements App: ask for fresh metrics, then compute and apply
+// per-host rate assignments for mastered switches.
 func (b *BandwidthAllocator) OnTick(c *Controller) {
-	b.mu.Lock()
-	b.token++
-	token := b.token
-	b.mu.Unlock()
-
 	// Per-host tenant sets, built from every tracked topology. The metric
-	// sweep is sharded by topology ownership (one controller polls each
-	// topology); allocation below is sharded by switch mastership inside
-	// SetMeterRate, so overlapping views never fight.
+	// sweep is sharded by topology ownership inside RequestWorkerStats;
+	// allocation below is sharded by switch mastership inside SetMeterRate,
+	// so overlapping views never fight.
 	tenants := make(map[string][]*tenant)
 	for _, name := range c.TopologyNames() {
 		l, p := c.Topology(name)
 		if l == nil || p == nil {
 			continue
 		}
-		if c.OwnsTopology(name) {
-			for _, as := range p.Workers {
-				_ = c.SendControlTuple(name, as.Worker,
-					control.Encode(control.KindMetricReq, control.MetricReq{Token: token}))
-			}
-		}
+		c.RequestWorkerStats(name)
 		class := l.QoSClass
 		if class == "" {
 			class = topology.QoSBestEffort
 		}
+		stats := c.WorkerStats(name)
 		b.mu.Lock()
-		stats := b.latest[l.App]
+		prev := b.prevEmitted[name]
+		if prev == nil {
+			prev = make(map[topology.WorkerID]uint64)
+			b.prevEmitted[name] = prev
+		}
 		perHost := make(map[string]*tenant)
 		for _, as := range p.Workers {
 			tn := perHost[as.Host]
@@ -231,11 +188,11 @@ func (b *BandwidthAllocator) OnTick(c *Controller) {
 			if !ok {
 				continue
 			}
-			delta := mr.Emitted - b.prevEmitted[as.Worker]
-			if mr.Emitted < b.prevEmitted[as.Worker] {
+			delta := mr.Emitted - prev[as.Worker]
+			if mr.Emitted < prev[as.Worker] {
 				delta = mr.Emitted // worker restarted; counter reset
 			}
-			b.prevEmitted[as.Worker] = mr.Emitted
+			prev[as.Worker] = mr.Emitted
 			tn.demand += delta + uint64(mr.QueueLen)
 		}
 		b.mu.Unlock()
@@ -285,11 +242,7 @@ func (b *BandwidthAllocator) allocateHost(c *Controller, host string, tns []*ten
 		if b.withinHysteresis(c, tn.name, host, rate) {
 			return
 		}
-		if err := c.SetMeterRate(tn.name, host, rate); err == nil {
-			b.mu.Lock()
-			b.reassigns++
-			b.mu.Unlock()
-		}
+		_ = c.SetMeterRate(tn.name, host, rate) // recorded either way; reconciliation re-sends it
 	}
 
 	// Guaranteed tenants are never policed by their own meter.

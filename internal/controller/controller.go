@@ -11,6 +11,7 @@ package controller
 import (
 	"fmt"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,8 +46,8 @@ type App interface {
 	// OnPacketIn observes worker-to-controller traffic (decoded control
 	// tuples arrive via OnControlTuple instead when parseable).
 	OnPacketIn(c *Controller, host string, ev openflow.PacketIn)
-	// OnControlTuple observes decoded worker control tuples
-	// (METRIC_RESP).
+	// OnControlTuple observes decoded worker control tuples. METRIC_RESP
+	// is already in the host's table (Controller.WorkerStats) by then.
 	OnControlTuple(c *Controller, host string, src packet.Addr, t tuple.Tuple)
 	// OnTick runs periodically.
 	OnTick(c *Controller)
@@ -137,6 +138,12 @@ type topoState struct {
 	// controller state: reconciliation re-programs it after reconnects
 	// and mastership moves instead of falling back to the configured rate.
 	meterRates map[string]uint64
+	// stats is the topology's slice of the worker-statistics table;
+	// statsTick is tickNo+1 at its last METRIC_REQ sweep and statsAsked
+	// the time, both zero when never swept (workerstats.go).
+	stats      map[topology.WorkerID]WorkerStat
+	statsTick  uint64
+	statsAsked time.Time
 }
 
 // SetGroupWeights sets select-group bucket weights for destination workers
@@ -219,6 +226,12 @@ type Controller struct {
 	outage atomic.Bool
 	// pktOutDelay delays every PACKET_OUT (chaos control-latency fault).
 	pktOutDelay atomic.Int64
+	// statsSweeps and statsResps count METRIC_REQ sweeps sent and
+	// METRIC_RESPs recorded (typhoon_collector_*).
+	statsSweeps, statsResps atomic.Uint64
+	// tickNo counts ticks begun; a topology is swept at most once per
+	// value (workerstats.go).
+	tickNo atomic.Uint64
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -392,6 +405,18 @@ func (c *Controller) Topology(name string) (*topology.Logical, *topology.Physica
 	return ts.logical, ts.physical
 }
 
+// TopologyNames lists the controller's cached topologies.
+func (c *Controller) TopologyNames() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]string, 0, len(c.topos))
+	for name := range c.topos {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
 func (c *Controller) acceptLoop() {
 	defer c.wg.Done()
 	for {
@@ -513,6 +538,7 @@ func (c *Controller) handlePacketIn(dp *Datapath, m openflow.PacketIn, arena *tu
 	if f, err := packet.Decode(m.Data); err == nil && len(f.Tuples) > 0 {
 		for _, raw := range f.Tuples {
 			if tp, _, err := tuple.DecodeInto(raw, arena); err == nil && tp.Stream.IsControl() {
+				c.recordWorkerStats(host, f.Src, tp)
 				for _, app := range apps {
 					app.OnControlTuple(c, host, f.Src, tp)
 				}
@@ -554,12 +580,21 @@ func (c *Controller) tickLoop() {
 			if c.outage.Load() {
 				continue
 			}
-			c.campaign()
-			c.syncAll()
-			for _, app := range c.appsSnapshot() {
-				app.OnTick(c)
-			}
+			c.tick()
 		}
+	}
+}
+
+// tick is one round of periodic work: election, reconciliation, the
+// worker-statistics sweep of topologies nobody asked about for
+// statsSweepInterval, then the apps.
+func (c *Controller) tick() {
+	c.tickNo.Add(1)
+	c.campaign()
+	c.syncAll()
+	c.sweepStaleWorkerStats()
+	for _, app := range c.appsSnapshot() {
+		app.OnTick(c)
 	}
 }
 

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"sync"
 
-	"typhoon/internal/control"
-	"typhoon/internal/packet"
 	"typhoon/internal/topology"
-	"typhoon/internal/tuple"
 )
 
 // LoadBalancer is the §4 SDN load-balancer app. Edges declared with the
@@ -19,9 +16,7 @@ type LoadBalancer struct {
 	BaseApp
 
 	mu      sync.Mutex
-	latest  map[topology.WorkerID]control.MetricResp
 	auto    []AutoBalancePolicy
-	token   uint64
 	applied int
 }
 
@@ -36,7 +31,7 @@ type AutoBalancePolicy struct {
 
 // NewLoadBalancer builds the app.
 func NewLoadBalancer() *LoadBalancer {
-	return &LoadBalancer{latest: make(map[topology.WorkerID]control.MetricResp)}
+	return &LoadBalancer{}
 }
 
 // Name implements App.
@@ -85,27 +80,10 @@ func (lb *LoadBalancer) SetWeights(c *Controller, topoName, node string, weights
 	return nil
 }
 
-// OnControlTuple implements App: collect queue statistics.
-func (lb *LoadBalancer) OnControlTuple(c *Controller, host string, src packet.Addr, t tuple.Tuple) {
-	kind, err := control.DecodeKind(t)
-	if err != nil || kind != control.KindMetricResp {
-		return
-	}
-	var mr control.MetricResp
-	if control.DecodePayload(t, &mr) != nil {
-		return
-	}
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	lb.latest[mr.Worker] = mr
-}
-
 // OnTick implements App: poll metrics and rebalance per policy.
 func (lb *LoadBalancer) OnTick(c *Controller) {
 	lb.mu.Lock()
 	policies := append([]AutoBalancePolicy(nil), lb.auto...)
-	lb.token++
-	token := lb.token
 	lb.mu.Unlock()
 	for _, pol := range policies {
 		if !c.OwnsTopology(pol.Topo) {
@@ -115,21 +93,17 @@ func (lb *LoadBalancer) OnTick(c *Controller) {
 		if l == nil {
 			continue
 		}
+		c.RequestWorkerStats(pol.Topo)
+		stats := c.WorkerStats(pol.Topo)
 		instances := p.Instances(pol.Node)
-		for _, as := range instances {
-			_ = c.SendControlTuple(pol.Topo, as.Worker,
-				control.Encode(control.KindMetricReq, control.MetricReq{Token: token}))
-		}
-		lb.mu.Lock()
 		queues := make(map[topology.WorkerID]int, len(instances))
 		for _, as := range instances {
-			if mr, ok := lb.latest[as.Worker]; ok {
+			if mr, ok := stats[as.Worker]; ok {
 				queues[as.Worker] = mr.QueueLen
 			} else {
 				queues[as.Worker] = -1
 			}
 		}
-		lb.mu.Unlock()
 		weights, imbalanced := autoWeights(queues, pol.MaxWeight)
 		if imbalanced {
 			_ = lb.SetWeights(c, pol.Topo, pol.Node, weights)

@@ -177,11 +177,6 @@ func NewCluster(options ...Option) (*Cluster, error) {
 		if n < 1 {
 			n = 1
 		}
-		// One collector instance is shared by every controller so /api/v1/top
-		// aggregates all shards; each controller polls only the topologies
-		// it owns.
-		c.Obs.Collector = controller.NewMetricsCollector()
-		c.Obs.Collector.Register(c.Obs.Registry)
 		for i := 0; i < n; i++ {
 			opts := controller.Options{
 				RuleIdleTimeout: cfg.RuleIdleTimeout,
@@ -206,7 +201,6 @@ func NewCluster(options ...Option) (*Cluster, error) {
 			c.Obs.Registry.GaugeFunc("typhoon_controller_datapaths",
 				"Switches connected to the SDN controller.", labels,
 				func() float64 { return float64(len(ctl.Datapaths())) })
-			ctl.AddApp(c.Obs.Collector)
 			u := controller.NewUpdater()
 			c.updaters = append(c.updaters, u)
 			ctl.AddApp(u)
@@ -223,6 +217,8 @@ func NewCluster(options ...Option) (*Cluster, error) {
 			}
 		}
 		c.Controller = c.controllers[0]
+		c.Obs.Collector = controller.NewMetricsCollector(c.controllers...)
+		c.Obs.Collector.Register(c.Obs.Registry)
 		c.updater = c.updaters[0]
 		c.rescalePause = c.Obs.Registry.Histogram("typhoon_rescale_pause_seconds",
 			"Source pause duration of managed stable rescales.", nil)

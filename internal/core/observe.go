@@ -25,7 +25,8 @@ type Observability struct {
 	Sampler *observe.Sampler
 	// Traces holds recently completed tuple-path traces.
 	Traces *observe.TraceLog
-	// Collector is the controller-side metrics app (nil in Storm mode).
+	// Collector exposes the controllers' worker statistics (nil in Storm
+	// mode).
 	Collector *controller.MetricsCollector
 }
 
@@ -153,9 +154,8 @@ func (c *Cluster) TopSnapshot() observe.TopSnapshot {
 // path so worker rows are fresh.
 func (c *Cluster) ObserveHandler() http.Handler {
 	var poll func()
-	if c.Obs.Collector != nil && c.Controller != nil {
-		ctl := c.Controller
-		poll = func() { c.Obs.Collector.Poll(ctl) }
+	if c.Obs.Collector != nil {
+		poll = c.Obs.Collector.Poll
 	}
 	var chaosHandler http.Handler
 	if c.Chaos != nil {

@@ -127,14 +127,6 @@ func totalEmitted(e *env, topo, node string) uint64 {
 	return n
 }
 
-func totalProcessedOf(e *env, topo, node string) uint64 {
-	var n uint64
-	for _, w := range e.cluster.WorkersOf(topo, node) {
-		n += w.StatsSnapshot().Processed
-	}
-	return n
-}
-
 func verdict(ok bool) string {
 	if ok {
 		return "PASS: zero loss across reconfigurations, stateful caches flushed"

@@ -92,16 +92,6 @@ func ControllerReg(id string) string { return Controllers + "/" + id }
 // SwitchMaster returns the mastership-lease node of one switch host.
 func SwitchMaster(host string) string { return Masters + "/" + host }
 
-// ParseControllerReg parses a controller registration path back into the
-// controller ID.
-func ParseControllerReg(p string) (id string, ok bool) {
-	rest, found := strings.CutPrefix(p, Controllers+"/")
-	if !found || !ValidName(rest) {
-		return "", false
-	}
-	return rest, true
-}
-
 // ParseSwitchMaster parses a mastership-lease path back into the host name.
 func ParseSwitchMaster(p string) (host string, ok bool) {
 	rest, found := strings.CutPrefix(p, Masters+"/")

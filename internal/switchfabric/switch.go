@@ -472,14 +472,6 @@ func (s *Switch) ReleaseMaster(sink ControllerSink, epoch uint64) {
 	}
 }
 
-// MasterEpoch reports the highest mastership epoch the switch has accepted
-// and whether a master is currently attached.
-func (s *Switch) MasterEpoch() (epoch uint64, held bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.masterEpoch, s.master != nil
-}
-
 // publishSinksLocked snapshots the sink registry for the punt path.
 func (s *Switch) publishSinksLocked() {
 	cp := make([]ControllerSink, len(s.sinks))

@@ -265,9 +265,6 @@ func (w *Worker) Slow(d time.Duration) {
 // manager's activation path in the baseline).
 func (w *Worker) Activate() { w.active.Store(true) }
 
-// Deactivate throttles a source worker.
-func (w *Worker) Deactivate() { w.active.Store(false) }
-
 // StatsSnapshot returns current worker statistics.
 func (w *Worker) StatsSnapshot() Stats {
 	return Stats{

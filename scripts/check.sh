@@ -22,6 +22,14 @@ if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
 	echo "a quantile function outside internal/metrics (see above)" >&2
 	exit 1
 fi
+# One place polls worker statistics and one place decodes them: the app
+# host (workerstats.go). The updater's drain barrier is the one other user
+# of METRIC_REQ/METRIC_RESP; apps read Controller.WorkerStats.
+if grep -n 'KindMetricReq\|control\.MetricResp' internal/controller/*.go |
+	grep -v -e '_test\.go:' -e '/workerstats\.go:' -e '/updater\.go:'; then
+	echo "METRIC_REQ/METRIC_RESP handled outside workerstats.go and updater.go (see above)" >&2
+	exit 1
+fi
 go test -race ./...
 # bench/ is a module of its own, so ./... above does not see it; a signature
 # change must not break the benchmark unnoticed.
@@ -31,3 +39,4 @@ go test -race ./...
 go test -fuzz '^FuzzDecode$' -fuzztime 5s -run '^FuzzDecode$' ./internal/openflow/
 go test -fuzz '^FuzzDecode$' -fuzztime 5s -run '^FuzzDecode$' ./internal/packet/
 go test -fuzz '^FuzzDecodeBatch$' -fuzztime 5s -run '^FuzzDecodeBatch$' ./internal/tuple/
+go test -fuzz '^FuzzDecodeControl$' -fuzztime 5s -run '^FuzzDecodeControl$' ./internal/control/

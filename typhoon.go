@@ -231,8 +231,8 @@ type (
 	LiveDebugger = controller.LiveDebugger
 	// LoadBalancer adjusts SDN select-group weights.
 	LoadBalancer = controller.LoadBalancer
-	// MetricsCollector caches worker statistics for the observability
-	// layer (a cluster adds one automatically in Typhoon mode).
+	// MetricsCollector exposes the controllers' worker statistics to the
+	// observability layer (a cluster adds one automatically in Typhoon mode).
 	MetricsCollector = controller.MetricsCollector
 	// RescaleReport describes one completed managed stable rescale
 	// (§3.5), as returned by Cluster.Rescale.
