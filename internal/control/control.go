@@ -128,7 +128,9 @@ type MetricResp struct {
 	Processed uint64            `json:"processed"`
 	Emitted   uint64            `json:"emitted"`
 	Dropped   uint64            `json:"dropped"`
-	// ProcNanos is cumulative execute time in nanoseconds.
+	// ProcNanos is the cumulative time, in nanoseconds, the worker spent
+	// dispatching received batches that executed at least one tuple, with
+	// rate-limit waits taken out. It is charged when a batch ends.
 	ProcNanos uint64 `json:"procNanos"`
 }
 

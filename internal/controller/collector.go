@@ -122,7 +122,7 @@ func (m *MetricsCollector) Register(reg *observe.Registry) {
 			emit(observe.Sample{Name: "typhoon_worker_dropped_tuples_total", Kind: observe.KindCounter,
 				Help: "Tuples or frames the worker's transport dropped.", Labels: labels, Value: float64(r.Dropped)})
 			emit(observe.Sample{Name: "typhoon_worker_proc_seconds_total", Kind: observe.KindCounter,
-				Help: "Cumulative execute time of the worker.", Labels: labels, Value: r.ProcSecs})
+				Help: "Cumulative time the worker spent dispatching batches that executed tuples (throttle waits excluded).", Labels: labels, Value: r.ProcSecs})
 			emit(observe.Sample{Name: "typhoon_worker_stats_age_seconds", Kind: observe.KindGauge,
 				Help: "Age of the worker's last METRIC_RESP.", Labels: labels, Value: r.AgeSecs})
 		}

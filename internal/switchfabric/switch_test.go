@@ -336,16 +336,15 @@ func TestSelectGroupWeightedRoundRobin(t *testing.T) {
 		Match:    openflow.Match{Fields: openflow.FieldInPort, InPort: p1.No()},
 		Actions:  []openflow.Action{openflow.ToGroup(1)},
 	})
-	const total = 400
-	for i := 0; i < total; i++ {
-		for !p1.WriteFrame(frameFor(packet.Broadcast, src, "lb")) {
-			time.Sleep(time.Millisecond) // ingress ring full; retry
-		}
-	}
-	count := func(p *Port, want packet.Addr) int {
+	// Two rounds of 200, so q1's share fits its 256-frame ring. Each round
+	// waits for the pump on the evidence, not on a gap between reads (a
+	// starved pump pauses mid-stream for longer than any fixed read wait),
+	// then drains both ports without waiting.
+	const total, rounds = 400, 2
+	drain := func(p *Port, want packet.Addr) int {
 		n := 0
 		for {
-			frames, err := p.ReadBatch(nil, 64, 100*time.Millisecond)
+			frames, err := p.ReadBatch(nil, 64, 0)
 			if err != nil || len(frames) == 0 {
 				return n
 			}
@@ -358,7 +357,17 @@ func TestSelectGroupWeightedRoundRobin(t *testing.T) {
 			n += len(frames)
 		}
 	}
-	n1, n2 := count(q1, d1), count(q2, d2)
+	n1, n2 := 0, 0
+	for r := 1; r <= rounds; r++ {
+		for i := 0; i < total/rounds; i++ {
+			if !p1.WriteFrame(frameFor(packet.Broadcast, src, "lb")) {
+				t.Fatal("ingress ring full")
+			}
+		}
+		waitCounter(t, func() uint64 { return sw.CountersSnapshot().Forwarded }, uint64(r*total/rounds), "forwarded frames")
+		n1 += drain(q1, d1)
+		n2 += drain(q2, d2)
+	}
 	if n1+n2 != total {
 		t.Fatalf("delivered %d+%d, want %d", n1, n2, total)
 	}

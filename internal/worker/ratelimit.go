@@ -3,12 +3,16 @@ package worker
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // RateLimiter is a token bucket used by the input rate controller of the
-// I/O layer (INPUT_RATE control tuples adjust it at runtime).
+// I/O layer (INPUT_RATE control tuples adjust it at runtime). With no rate
+// set, Allow and take answer from one atomic flag and never take the mutex.
 type RateLimiter struct {
+	limited atomic.Bool // rate > 0; written under mu
+
 	mu     sync.Mutex
 	rate   float64 // tokens per second; <= 0 means unlimited
 	tokens float64
@@ -28,6 +32,7 @@ func (l *RateLimiter) SetRate(rate float64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.rate = rate
+	l.limited.Store(rate > 0)
 	l.burst = rate / 100
 	if l.burst < 1 {
 		l.burst = 1
@@ -50,6 +55,9 @@ func (l *RateLimiter) Allow() bool { return l.take() == 0 }
 // take consumes one token and returns 0 if one is available; otherwise it
 // consumes nothing and returns how long until the next token accrues.
 func (l *RateLimiter) take() time.Duration {
+	if !l.limited.Load() {
+		return 0
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.rate <= 0 {

@@ -1,7 +1,7 @@
 package worker
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"typhoon/internal/topology"
 	"typhoon/internal/tuple"
@@ -9,13 +9,18 @@ import (
 
 // Router implements the framework layer's routing policies (Listing 1).
 // Its state — the next-hop sets and policy descriptors per out-edge — is
-// exactly what ROUTING control tuples replace at runtime, so the whole
-// table swaps atomically under a mutex the data path shares.
+// exactly what ROUTING control tuples replace at runtime: Update builds a
+// new table and swaps it in behind an atomic pointer, so the data path
+// takes no mutex and a tuple is routed by one whole table, never a mix.
+// Update and Routes may be called from any goroutine; routing itself
+// (Route, and the worker's routeInto) belongs to one goroutine at a time,
+// the worker's, because the shuffle cursors advance unsynchronised.
 type Router struct {
-	mu     sync.Mutex
-	routes []*routeState
+	table atomic.Pointer[[]routeState]
 }
 
+// routeState is one out-edge of a table. Everything but the cursor is
+// immutable once the table is published.
 type routeState struct {
 	edge     topology.EdgeSpec
 	nextHops []topology.WorkerID
@@ -44,24 +49,21 @@ func NewRouter(routes []topology.Route) *Router {
 // Update atomically replaces the routing table (ROUTING control tuple).
 // Round-robin counters reset, which is harmless for shuffle semantics.
 func (r *Router) Update(routes []topology.Route) {
-	states := make([]*routeState, 0, len(routes))
+	states := make([]routeState, 0, len(routes))
 	for _, rt := range routes {
-		states = append(states, &routeState{
+		states = append(states, routeState{
 			edge:     rt.Edge,
 			nextHops: append([]topology.WorkerID(nil), rt.NextHops...),
 		})
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.routes = states
+	r.table.Store(&states)
 }
 
 // Routes returns a copy of the current routing table.
 func (r *Router) Routes() []topology.Route {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]topology.Route, 0, len(r.routes))
-	for _, s := range r.routes {
+	states := *r.table.Load()
+	out := make([]topology.Route, 0, len(states))
+	for _, s := range states {
 		out = append(out, topology.Route{
 			Edge:     s.edge,
 			NextHops: append([]topology.WorkerID(nil), s.nextHops...),
@@ -72,11 +74,15 @@ func (r *Router) Routes() []topology.Route {
 
 // Route computes the destinations of a tuple: one Destination per out-edge
 // subscribed to the tuple's stream.
-func (r *Router) Route(t tuple.Tuple) []Destination {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []Destination
-	for _, s := range r.routes {
+func (r *Router) Route(t tuple.Tuple) []Destination { return r.routeInto(nil, t) }
+
+// routeInto is Route appending to dst, so a caller that owns a scratch
+// slice routes without allocating. The Workers of every Destination alias
+// the table's next-hop sets, which are never written after publication.
+func (r *Router) routeInto(dst []Destination, t tuple.Tuple) []Destination {
+	states := *r.table.Load()
+	for i := range states {
+		s := &states[i]
 		if s.edge.Stream != t.Stream {
 			continue
 		}
@@ -88,7 +94,7 @@ func (r *Router) Route(t tuple.Tuple) []Destination {
 		case topology.Shuffle:
 			idx := s.counter % uint64(n)
 			s.counter++
-			out = append(out, Destination{Workers: s.nextHops[idx : idx+1]})
+			dst = append(dst, Destination{Workers: s.nextHops[idx : idx+1]})
 		case topology.Fields:
 			// Two-level key routing (§3.5): hash → partition → owner via
 			// rendezvous hashing, so rescaling the destination node moves
@@ -96,22 +102,22 @@ func (r *Router) Route(t tuple.Tuple) []Destination {
 			// updater app can compute exactly which state entries migrate.
 			part := PartitionOf(tuple.HashFields(t, s.edge.HashFields))
 			idx := OwnerIndex(part, n)
-			out = append(out, Destination{Workers: s.nextHops[idx : idx+1]})
+			dst = append(dst, Destination{Workers: s.nextHops[idx : idx+1]})
 		case topology.Global:
-			out = append(out, Destination{Workers: s.nextHops[:1]})
+			dst = append(dst, Destination{Workers: s.nextHops[:1]})
 		case topology.All:
-			out = append(out, Destination{Workers: s.nextHops, Broadcast: true})
+			dst = append(dst, Destination{Workers: s.nextHops, Broadcast: true})
 		case topology.SDNBalanced:
-			out = append(out, Destination{Workers: s.nextHops, SDNBalanced: true})
+			dst = append(dst, Destination{Workers: s.nextHops, SDNBalanced: true})
 		case topology.Direct:
 			want := topology.WorkerID(t.Field(0).AsInt())
-			for _, h := range s.nextHops {
+			for j, h := range s.nextHops {
 				if h == want {
-					out = append(out, Destination{Workers: []topology.WorkerID{want}})
+					dst = append(dst, Destination{Workers: s.nextHops[j : j+1]})
 					break
 				}
 			}
 		}
 	}
-	return out
+	return dst
 }

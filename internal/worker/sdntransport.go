@@ -53,6 +53,12 @@ type SDNTransport struct {
 	sampler FrameSampler
 	sink    func(packet.TraceAnnex)
 
+	// nSent and nSerialized are Send's tallies, plain because Send runs on
+	// the worker goroutine alone; publishTallies adds them to tuplesSent and
+	// serializations before any frame leaves and on every Flush, so a reader
+	// that has seen a tuple delivered also sees its send counted.
+	nSent, nSerialized uint64
+
 	tuplesSent     atomic.Uint64
 	serializations atomic.Uint64
 	framesSent     atomic.Uint64
@@ -116,15 +122,15 @@ func (t *SDNTransport) Send(d Destination, in tuple.Tuple) error {
 	// scratch is safe to reuse on the next Send.
 	t.encScratch = tuple.AppendEncode(t.encScratch[:0], in)
 	enc := t.encScratch
-	t.serializations.Add(1)
+	t.nSerialized++
 	switch {
 	case d.Broadcast, d.SDNBalanced:
+		t.nSent++
 		t.writeFrames(t.pktz.Add(packet.Broadcast, enc))
-		t.tuplesSent.Add(1)
 	default:
 		for _, id := range d.Workers {
+			t.nSent++
 			t.writeFrames(t.pktz.Add(packet.WorkerAddr(t.app, uint32(id)), enc))
-			t.tuplesSent.Add(1)
 		}
 	}
 	t.sinceFlush++
@@ -140,22 +146,36 @@ func (t *SDNTransport) Send(d Destination, in tuple.Tuple) error {
 func (t *SDNTransport) SendControl(in tuple.Tuple) error {
 	t.encScratch = tuple.AppendEncode(t.encScratch[:0], in)
 	enc := t.encScratch
-	t.serializations.Add(1)
+	t.nSerialized++
+	t.nSent++
 	t.writeFrames(t.pktz.Add(packet.ControllerAddr, enc))
-	t.tuplesSent.Add(1)
 	return t.Flush()
 }
 
 // Flush implements Transport.
 func (t *SDNTransport) Flush() error {
 	t.sinceFlush = 0
+	t.publishTallies()
 	t.writeFrames(t.pktz.FlushAll())
 	return nil
+}
+
+// publishTallies makes Send's counts visible to Stats.
+func (t *SDNTransport) publishTallies() {
+	if t.nSerialized|t.nSent != 0 {
+		t.serializations.Add(t.nSerialized)
+		t.tuplesSent.Add(t.nSent)
+		t.nSerialized, t.nSent = 0, 0
+	}
 }
 
 // writeFrames pushes frames into the switch ingress ring with bounded
 // blocking backpressure (modelling the DPDK TX ring).
 func (t *SDNTransport) writeFrames(frames [][]byte) {
+	if len(frames) == 0 {
+		return
+	}
+	t.publishTallies()
 	for _, f := range frames {
 		if t.sampler != nil {
 			if id, ok := t.sampler.Sample(); ok {

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"typhoon/internal/clock"
 	"typhoon/internal/control"
 	"typhoon/internal/metrics"
 	"typhoon/internal/topology"
@@ -79,12 +80,34 @@ const DefaultFlushDeadline = time.Millisecond
 
 // The worker goroutine waits in exactly one place, Transport.Recv, and wakes
 // early on an incoming frame. After an iteration that did work it polls
-// (wait 0). A source keeps polling for idleSpinBudget more empty iterations:
-// blocking on the first empty Next would turn a paced source's emissions
-// into bursts one idle wait apart. Past the budget a source blocks for
+// (wait 0). A source keeps polling until idleSpin has passed since it last
+// did work: blocking on the first empty Next would turn a paced source's
+// emissions into bursts one idle wait apart. The budget is time, read off the
+// clock the loop reads anyway, because what it has to outlast is the gap
+// between two due tuples — an iteration count buys less spin every time an
+// iteration gets cheaper (64 of them were ~20 µs when an empty iteration cost
+// ~300 ns). It is judged by the previous iteration's clock read, so that a
+// whole Next has come back empty since: a goroutine descheduled inside an
+// iteration (GC pause, preemption) would otherwise take the time it lost for
+// idleness and go to sleep on due tuples. Past the budget a source blocks for
 // sourceIdleWait and a bolt for boltIdleWait, capped at the flush deadline.
+//
+// What the loop pays, and how often:
+//   - per tuple (execute, dispatch, EmitOn, Router.routeInto, Send): plain
+//     single-goroutine work and atomic loads — no wall-clock read, select,
+//     lock or allocation, and no subscription-map probe while the stream
+//     repeats. (An acked source's pending stamp and the rate-limit wait of a
+//     throttled worker are the exceptions, off the unacked unthrottled path.)
+//   - per iteration: the stop/fail/hang checks (atomic loads), one Recv, one
+//     wall-clock read in front of a non-empty batch and one after it; the
+//     second drives the D flush gate, replay scan and stats push, charges the
+//     batch to procNanos and is followed by publishTallies.
+//   - per coarse-clock tick (clock.CoarseGranularity) seen inside a batch:
+//     onTick — one wall-clock read for the 2·D flush gate, and publishTallies,
+//     so another goroutine's view of Processed/Emitted is never more than one
+//     tick plus one Execute old however long the batch runs.
 const (
-	idleSpinBudget = 64
+	idleSpin       = 20 * time.Microsecond
 	sourceIdleWait = 200 * time.Microsecond
 	boltIdleWait   = time.Millisecond
 )
@@ -125,6 +148,17 @@ type Worker struct {
 	slowNs  atomic.Int64
 
 	lastFlush time.Time // last deadline flush (flushIfDue)
+
+	// Loop-goroutine state (see the loop comment): running totals behind
+	// processed and emitted, the coarse-clock value last acted on, rate-limit
+	// waits inside the current batch, EmitOn's and send's routing scratch
+	// (separate: an acked source sends its INIT between routing a data tuple
+	// and sending it), and the last stream found subscribed.
+	nProcessed, nEmitted uint64
+	lastTick             int64
+	throttled            time.Duration
+	dests, sendDests     []Destination
+	lastSub              tuple.StreamID
 
 	// Framework-layer state for guaranteed processing.
 	rng     *rand.Rand
@@ -182,6 +216,7 @@ func New(cfg Config, tr Transport) (*Worker, error) {
 		rng:               rand.New(rand.NewSource(int64(cfg.ID)*2654435761 + 1)),
 		pending:           make(map[uint64]*pendingEntry),
 		CompleteLatencies: &metrics.Histogram{},
+		lastSub:           tuple.ControlStream, // never reaches the subscription check
 	}
 	if len(cfg.Subscriptions) > 0 {
 		w.subs = make(map[tuple.StreamID]bool, len(cfg.Subscriptions))
@@ -281,6 +316,7 @@ func (w *Worker) StatsSnapshot() Stats {
 func (w *Worker) run() {
 	var failure error
 	defer func() {
+		w.publishTallies()
 		_ = w.comp.Close(w.ctx)
 		_ = w.tr.Flush()
 		_ = w.tr.Close()
@@ -306,24 +342,24 @@ func (w *Worker) run() {
 	if spout != nil {
 		idleWait = sourceIdleWait
 	}
-	idleSpins := 0
+	// When the last iteration that did work ended, and the last iteration.
+	lastWork, lastIter := w.lastFlush, w.lastFlush
 	wait := time.Duration(0)
 	for {
-		select {
-		case <-w.stopCh:
+		if w.stopped.Load() { // set before stopCh closes
 			return
-		case err := <-w.failInj:
-			failure = err
-			return
-		default:
 		}
-		if ns := w.hangNs.Swap(0); ns > 0 {
+		if len(w.failInj) > 0 {
+			failure = <-w.failInj
+			return
+		}
+		if w.hangNs.Load() > 0 {
 			// Injected stall: sleep without processing, but stay
 			// responsive to Stop so teardown is never blocked.
 			select {
 			case <-w.stopCh:
 				return
-			case <-time.After(time.Duration(ns)):
+			case <-time.After(time.Duration(w.hangNs.Swap(0))):
 			}
 		}
 
@@ -339,6 +375,11 @@ func (w *Worker) run() {
 			return
 		}
 		worked := len(tuples) > 0
+		var batchStart time.Time
+		executed := w.nProcessed
+		if worked {
+			batchStart, w.throttled = time.Now(), 0
+		}
 		for _, t := range tuples {
 			if err := w.dispatch(bolt, t); err != nil {
 				if err != errStopping {
@@ -361,38 +402,63 @@ func (w *Worker) run() {
 		}
 
 		now := time.Now()
+		if w.nProcessed != executed {
+			w.procNanos.Add(uint64(now.Sub(batchStart) - w.throttled))
+		}
 		w.flushIfDue(now, 1)
 		if w.cfg.Acking && w.cfg.Source && now.Sub(lastReplayScan) >= w.cfg.AckTimeout/4 {
 			w.replayExpired(now)
 			lastReplayScan = now
 		}
+		w.publishTallies()
 		if w.cfg.StatsInterval > 0 && now.Sub(lastStats) >= w.cfg.StatsInterval {
 			w.pushStats()
 			lastStats = now
 		}
 		switch {
 		case worked:
-			idleSpins, wait = 0, 0
-		case spout != nil && idleSpins < idleSpinBudget:
-			idleSpins++
+			lastWork, wait = now, 0
+		case spout != nil && lastIter.Sub(lastWork) < idleSpin:
 			wait = 0
 		default:
 			wait = w.capWait(idleWait)
 		}
+		lastIter = now
 	}
 }
 
 // flushIfDue is the one time bound on staging: it flushes the transport once
 // n deadlines have passed since the last flush. The loop asks with n = 1
 // between batches and on waking from a wait (capWait keeps waits to one
-// deadline), and with n = 2 after every executed tuple: a burst that ends in
-// time leaves whole at the batch boundary, a batch that overstays (slow
-// logic, the chaos Slow hook) is flushed all the same. A staged tuple waits
-// under two deadlines plus one Execute, half a deadline at the median.
+// deadline), and with n = 2 inside a batch, at the first executed tuple after
+// each coarse-clock tick (onTick): a burst that ends in time leaves whole at
+// the batch boundary, a batch that overstays (slow logic, the chaos Slow
+// hook) is flushed all the same. A staged tuple waits under two deadlines
+// plus one coarse tick plus one Execute, half a deadline at the median.
 func (w *Worker) flushIfDue(now time.Time, n int) {
 	if every := w.cfg.FlushInterval; every > 0 && now.Sub(w.lastFlush) >= time.Duration(n)*every {
 		_ = w.tr.Flush()
 		w.lastFlush = now
+	}
+}
+
+// onTick is what a batch in progress owes the wall clock. execute calls it
+// when the coarse clock has moved since the loop last looked, so it costs one
+// real clock read per tick rather than two per tuple.
+func (w *Worker) onTick(coarse int64) {
+	w.lastTick = coarse
+	w.publishTallies()
+	w.flushIfDue(time.Now(), 2)
+}
+
+// publishTallies makes the loop's running totals visible to other goroutines
+// (StatsSnapshot). The loop goroutine is the only writer of both counters.
+func (w *Worker) publishTallies() {
+	if w.processed.Load() != w.nProcessed {
+		w.processed.Store(w.nProcessed)
+	}
+	if w.emitted.Load() != w.nEmitted {
+		w.emitted.Store(w.nEmitted)
 	}
 }
 
@@ -420,9 +486,12 @@ func (w *Worker) dispatch(bolt Bolt, t tuple.Tuple) error {
 		}
 		return w.execute(bolt, t)
 	default:
-		if w.subs != nil && !w.subs[t.Stream] {
-			w.filtered.Add(1)
-			return nil
+		if w.subs != nil && t.Stream != w.lastSub {
+			if !w.subs[t.Stream] {
+				w.filtered.Add(1)
+				return nil
+			}
+			w.lastSub = t.Stream
 		}
 		if bolt == nil {
 			w.filtered.Add(1)
@@ -437,13 +506,15 @@ func (w *Worker) dispatch(bolt Bolt, t tuple.Tuple) error {
 
 // awaitToken blocks until the input rate limiter grants a token, reporting
 // false if Stop arrives first. It wakes for the flush deadline meanwhile, so
-// what earlier tuples of the batch emitted does not wait out the throttle.
+// what earlier tuples of the batch emitted does not wait out the throttle,
+// and it keeps the time waited out of the batch's processing time.
 func (w *Worker) awaitToken() bool {
 	for {
 		d := w.rate.take()
 		if d == 0 {
 			return true
 		}
+		began := time.Now()
 		timer := time.NewTimer(w.capWait(d))
 		select {
 		case <-w.stopCh:
@@ -451,7 +522,10 @@ func (w *Worker) awaitToken() bool {
 			return false
 		case <-timer.C:
 		}
-		w.flushIfDue(time.Now(), 1)
+		now := time.Now()
+		w.throttled += now.Sub(began)
+		w.publishTallies()
+		w.flushIfDue(now, 1)
 	}
 }
 
@@ -462,11 +536,8 @@ func (w *Worker) execute(bolt Bolt, t tuple.Tuple) error {
 	w.anchor = w.cfg.Acking && t.Root != 0
 	w.curRoot = t.Root
 	w.curXor = t.ID
-	start := time.Now()
 	err := bolt.Execute(w.ctx, t)
-	took := time.Since(start)
-	w.procNanos.Add(uint64(took))
-	w.processed.Add(1)
+	w.nProcessed++
 	if err != nil {
 		w.anchor = false
 		return fmt.Errorf("worker %d (%s): execute: %w", w.cfg.ID, w.cfg.Node, err)
@@ -475,7 +546,9 @@ func (w *Worker) execute(bolt Bolt, t tuple.Tuple) error {
 		w.sendAck(1, w.curRoot, w.curXor, 0)
 	}
 	w.anchor = false
-	w.flushIfDue(start.Add(took), 2)
+	if c := clock.CoarseUnixNano(); c != w.lastTick {
+		w.onTick(c)
+	}
 	return nil
 }
 
@@ -488,7 +561,8 @@ func (w *Worker) Emit(values ...tuple.Value) { w.EmitOn(tuple.DefaultStream, val
 // EmitOn implements Emitter.
 func (w *Worker) EmitOn(s tuple.StreamID, values ...tuple.Value) {
 	t := tuple.OnStream(s, values...)
-	dests := w.rt.Route(t)
+	w.dests = w.rt.routeInto(w.dests[:0], t)
+	dests := w.dests
 	if len(dests) == 0 {
 		// No subscribers: the tuple is dropped and, crucially, never
 		// joins a tuple tree (an unconsumable edge would otherwise keep
@@ -512,14 +586,17 @@ func (w *Worker) EmitOn(s tuple.StreamID, values ...tuple.Value) {
 	}
 	for _, d := range dests {
 		_ = w.tr.Send(d, t)
-		w.emitted.Add(1)
+		w.nEmitted++
 	}
 }
 
+// send routes and sends a tuple the framework produced itself (acker
+// traffic, replays) through its own scratch, leaving EmitOn's intact.
 func (w *Worker) send(t tuple.Tuple) {
-	for _, d := range w.rt.Route(t) {
+	w.sendDests = w.rt.routeInto(w.sendDests[:0], t)
+	for _, d := range w.sendDests {
 		_ = w.tr.Send(d, t)
-		w.emitted.Add(1)
+		w.nEmitted++
 	}
 }
 
@@ -655,6 +732,7 @@ func (w *Worker) restoreState(r control.Restore) {
 func (w *Worker) pushStats() { w.sendMetrics(0) }
 
 func (w *Worker) sendMetrics(token uint64) {
+	w.publishTallies()
 	s := w.StatsSnapshot()
 	resp := control.MetricResp{
 		Token:     token,

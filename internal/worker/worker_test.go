@@ -68,6 +68,28 @@ func (forwarder) Execute(ctx *Context, in tuple.Tuple) error {
 	return nil
 }
 
+// slowForwarder is a forwarder whose Execute takes delay, counts what it
+// executed, and fails on call number failAt (0: never) without emitting.
+type slowForwarder struct {
+	delay    time.Duration
+	failAt   int64
+	executed atomic.Int64
+}
+
+func (f *slowForwarder) Open(*Context) error  { return nil }
+func (f *slowForwarder) Close(*Context) error { return nil }
+func (f *slowForwarder) Execute(ctx *Context, in tuple.Tuple) error {
+	if in.Stream.IsSignal() {
+		return nil
+	}
+	time.Sleep(f.delay)
+	if n := f.executed.Add(1); n == f.failAt {
+		return errors.New("boom")
+	}
+	ctx.Emit(in.Field(0))
+	return nil
+}
+
 // faulty fails on the nth tuple.
 type faulty struct{ after int }
 
@@ -96,6 +118,7 @@ func (t *terminal) Execute(_ *Context, in tuple.Tuple) error {
 func init() {
 	RegisterLogic("test/collector", func() Component { return &collector{} })
 	RegisterLogic("test/forwarder", func() Component { return forwarder{} })
+	RegisterLogic("test/source", func() Component { return &seqSource{} })
 }
 
 // testAcker duplicates the XOR acker from internal/ack (which cannot be
@@ -192,29 +215,64 @@ func TestSourceToSinkPipeline(t *testing.T) {
 	}
 }
 
+// TestRoutingControlTupleRedirects: a ROUTING control tuple takes effect at
+// one point in the source's order. seqSource emits consecutive integers, so
+// once the source is quiet sink A must hold exactly 0..k-1 and sink B exactly
+// k..n-1: nothing lost, duplicated or sent the old way after the switch.
 func TestRoutingControlTupleRedirects(t *testing.T) {
 	net := NewChanNetwork()
 	sinkA, sinkB := &collector{}, &collector{}
 	startWorker(t, Config{App: 1, ID: 2, Node: "a"}, sinkA, net.Attach(2))
 	startWorker(t, Config{App: 1, ID: 3, Node: "b"}, sinkB, net.Attach(3))
-	srcTr := net.Attach(1)
+	// Paced well inside what a sink drains, so no ChanTransport inbox (which
+	// drops when full) ever fills and every emitted integer arrives.
 	startWorker(t, Config{
-		App: 1, ID: 1, Node: "src", Source: true,
+		App: 1, ID: 1, Node: "src", Source: true, RateLimit: 20000,
 		Routes: []topology.Route{dataRoute(2, topology.Shuffle)},
-	}, &seqSource{}, srcTr)
+	}, &seqSource{}, net.Attach(1))
+	ctl := net.Attach(99)
+	toSrc := Destination{Workers: []topology.WorkerID{1}}
 
 	waitFor(t, 5*time.Second, func() bool { return sinkA.count() > 50 })
 	// Inject a ROUTING control tuple steering traffic to worker 3.
-	ctl := net.Attach(99)
-	_ = ctl.Send(Destination{Workers: []topology.WorkerID{1}},
-		control.Encode(control.KindRouting, control.Routing{
-			Routes: []topology.Route{dataRoute(3, topology.Shuffle)},
-		}))
+	_ = ctl.Send(toSrc, control.Encode(control.KindRouting, control.Routing{
+		Routes: []topology.Route{dataRoute(3, topology.Shuffle)},
+	}))
 	waitFor(t, 5*time.Second, func() bool { return sinkB.count() > 50 })
-	a := sinkA.count()
-	time.Sleep(50 * time.Millisecond)
-	if growth := sinkA.count() - a; growth > 10 {
-		t.Fatalf("sink A still receiving heavily after reroute (+%d)", growth)
+
+	// Quiesce the source. The inbox is FIFO, so the METRIC_RESP is produced
+	// after DEACTIVATE took effect and its Emitted is the final count.
+	_ = ctl.Send(toSrc, control.Encode(control.KindDeactivate, nil))
+	_ = ctl.Send(toSrc, control.Encode(control.KindMetricReq, control.MetricReq{Token: 1}))
+	var mr control.MetricResp
+	select {
+	case resp := <-net.Control:
+		if err := control.DecodePayload(resp, &mr); err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no METRIC_RESP")
+	}
+	n := int(mr.Emitted)
+	waitFor(t, 5*time.Second, func() bool { return sinkA.count()+sinkB.count() >= n })
+
+	sinkA.mu.Lock()
+	defer sinkA.mu.Unlock()
+	sinkB.mu.Lock()
+	defer sinkB.mu.Unlock()
+	k := len(sinkA.ints)
+	if k+len(sinkB.ints) != n {
+		t.Fatalf("A has %d and B %d of %d emitted", k, len(sinkB.ints), n)
+	}
+	for i, v := range sinkA.ints {
+		if v != int64(i) {
+			t.Fatalf("A[%d] = %d, want %d (A holds exactly what was emitted before the reroute)", i, v, i)
+		}
+	}
+	for i, v := range sinkB.ints {
+		if v != int64(k+i) {
+			t.Fatalf("B[%d] = %d, want %d (B holds exactly what was emitted after the reroute)", i, v, k+i)
+		}
 	}
 }
 
@@ -395,6 +453,186 @@ func TestFlushDeadlineInsideBatch(t *testing.T) {
 		t.Fatalf("first tuple left after %v with %d of %d dispatched; want it out on the deadline",
 			time.Since(begin), done, n)
 	}
+}
+
+// preloaded starts comp as worker 2 ("fwd", forwarding to a collector at
+// worker 3) over a stagingTransport whose inbox already holds n integers, so
+// the worker's first Recv takes them as one batch.
+func preloaded(t *testing.T, n int, cfg Config, comp Component) (*Worker, *collector) {
+	t.Helper()
+	net := NewChanNetwork()
+	sink := &collector{}
+	startWorker(t, Config{App: 1, ID: 3, Node: "sink"}, sink, net.Attach(3))
+	in := net.Attach(2)
+	feed := net.Attach(99)
+	for i := 0; i < n; i++ {
+		_ = feed.Send(Destination{Workers: []topology.WorkerID{2}}, tuple.New(tuple.Int(int64(i))))
+	}
+	cfg.App, cfg.ID, cfg.Node = 1, 2, "fwd"
+	cfg.Routes = []topology.Route{dataRoute(3, topology.Shuffle)}
+	return startWorker(t, cfg, comp, &stagingTransport{ChanTransport: in}), sink
+}
+
+// TestFlushDeadlineSlowExecute: the in-batch bound is checked once per coarse
+// tick, not per tuple, and still holds when it is Execute that is slow. A
+// forwarder taking 3 ms a tuple spends 120 ms in a 40-tuple batch; what the
+// first tuple emitted is staged at 3 ms and must leave within two deadlines
+// plus one tick plus one Execute of that, not when the batch is done.
+func TestFlushDeadlineSlowExecute(t *testing.T) {
+	const n = 40
+	fwd := &slowForwarder{delay: 3 * time.Millisecond}
+	_, sink := preloaded(t, n, Config{}, fwd)
+	waitFor(t, 5*time.Second, func() bool { return sink.count() > 0 })
+	// The bound is 2·D + clock.CoarseGranularity + one Execute = 5.5 ms, two
+	// Executes; the rest of the allowance is scheduling and the 2 ms poll.
+	if done := fwd.executed.Load(); done >= n/4 {
+		t.Fatalf("first tuple left with %d of %d executed; want it out on the deadline", done, n)
+	}
+}
+
+// TestProcNanosExcludesThrottleWait: processing time is charged per batch, so
+// the time a throttled batch spends waiting for tokens must come back out.
+// Twenty tuples at 100/s hold one batch for 200 ms of which almost none is
+// processing.
+func TestProcNanosExcludesThrottleWait(t *testing.T) {
+	const n = 20
+	fwd, sink := preloaded(t, n, Config{RateLimit: 100}, forwarder{})
+	// The last tuple leaves on a flush after the batch has been charged.
+	waitFor(t, 5*time.Second, func() bool { return sink.count() == n })
+	if got := time.Duration(fwd.StatsSnapshot().ProcNanos); got <= 0 || got >= 20*time.Millisecond {
+		t.Fatalf("ProcNanos = %v for a throttled batch of trivial Executes; want (0, 20ms)", got)
+	}
+}
+
+// TestStatsVisibleInsideSlowBatch: Processed and Emitted are tallied on the
+// worker goroutine and published per iteration and per coarse tick, so other
+// goroutines see them move while a long batch is still executing, and every
+// way out of the loop leaves them exact.
+func TestStatsVisibleInsideSlowBatch(t *testing.T) {
+	final := func(t *testing.T, w *Worker, f *slowForwarder, emitted int64) {
+		t.Helper()
+		w.Wait()
+		s, done := w.StatsSnapshot(), f.executed.Load()
+		if int64(s.Processed) != done || int64(s.Emitted) != emitted {
+			t.Fatalf("final Processed/Emitted = %d/%d, want %d/%d", s.Processed, s.Emitted, done, emitted)
+		}
+	}
+	t.Run("slow batch then Stop", func(t *testing.T) {
+		const n = 30
+		f := &slowForwarder{delay: 2 * time.Millisecond}
+		w, _ := preloaded(t, n, Config{}, f)
+		waitFor(t, 5*time.Second, func() bool { return w.StatsSnapshot().Processed > 0 })
+		if done := f.executed.Load(); done >= n {
+			t.Fatalf("Processed first moved with all %d executed; want it visible inside the batch", done)
+		}
+		// Publication trails execution by at most a tick plus an Execute:
+		// here every Execute outlasts a tick, so by at most one tuple.
+		waitFor(t, 5*time.Second, func() bool {
+			done := f.executed.Load()
+			return done == n || int64(w.StatsSnapshot().Processed) >= done-1
+		})
+		w.Stop() // returns once the batch is through
+		final(t, w, f, n)
+	})
+	t.Run("Execute error inside the batch", func(t *testing.T) {
+		f := &slowForwarder{failAt: 5}
+		w, _ := preloaded(t, 30, Config{}, f)
+		final(t, w, f, 4)
+		if w.ExitErr() == nil {
+			t.Fatal("worker exited clean on an Execute error")
+		}
+	})
+	t.Run("Stop inside a throttled batch", func(t *testing.T) {
+		const n = 30
+		f := &slowForwarder{}
+		w, _ := preloaded(t, n, Config{RateLimit: 200}, f)
+		waitFor(t, 5*time.Second, func() bool { return w.StatsSnapshot().Processed >= 2 })
+		w.Stop()
+		if done := f.executed.Load(); done >= n {
+			t.Fatalf("all %d executed; Stop should have cut the batch short", done)
+		}
+		final(t, w, f, f.executed.Load())
+	})
+}
+
+// TestEmitPathAllocFree: emitting on the unacked path allocates nothing —
+// the route table is a snapshot read without a lock and destinations land in
+// a scratch slice the worker owns. The acked-source case pins the one hazard
+// of that scratch: the INIT an acked source sends between routing a data
+// tuple and sending it must not overwrite the data tuple's destinations.
+func TestEmitPathAllocFree(t *testing.T) {
+	// stagingTransport never flushes here (no loop runs), so staged holds the
+	// sends of the emissions since it was last cut back.
+	newWorker := func(t *testing.T, cfg Config) (*Worker, *stagingTransport) {
+		t.Helper()
+		tr := &stagingTransport{ChanTransport: NewChanNetwork().Attach(1)}
+		cfg.App, cfg.ID, cfg.Node, cfg.Logic = 1, 1, "emitter", "test/forwarder"
+		if cfg.Source {
+			cfg.Logic = "test/source"
+		}
+		w, err := New(cfg, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w, tr
+	}
+	hops := []topology.WorkerID{2, 3, 4}
+	for _, c := range []struct {
+		name      string
+		edge      topology.EdgeSpec
+		broadcast bool
+	}{
+		{"shuffle", topology.EdgeSpec{Policy: topology.Shuffle}, false},
+		{"fields", topology.EdgeSpec{Policy: topology.Fields, HashFields: []int{0}}, false},
+		{"all", topology.EdgeSpec{Policy: topology.All}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w, tr := newWorker(t, Config{Routes: []topology.Route{{Edge: c.edge, NextHops: hops}}})
+			vals := []tuple.Value{tuple.String("key"), tuple.Int(7)}
+			allocs := testing.AllocsPerRun(1000, func() {
+				tr.staged = tr.staged[:0]
+				w.Emit(vals...)
+			})
+			if allocs != 0 {
+				t.Fatalf("Emit allocates %.2f objects per tuple, want 0", allocs)
+			}
+			if len(tr.staged) != 1 {
+				t.Fatalf("sends = %+v, want one", tr.staged)
+			}
+			d, want := tr.staged[0].d, 1
+			if c.broadcast {
+				want = len(hops)
+			}
+			if d.Broadcast != c.broadcast || len(d.Workers) != want {
+				t.Fatalf("destination = %+v", d)
+			}
+		})
+	}
+	t.Run("acked source", func(t *testing.T) {
+		w, tr := newWorker(t, Config{Source: true, Acking: true, Routes: []topology.Route{
+			dataRoute(2, topology.Shuffle),
+			{
+				Edge:     topology.EdgeSpec{Policy: topology.Fields, HashFields: []int{1}, Stream: tuple.AckStream},
+				NextHops: []topology.WorkerID{3},
+			},
+		}})
+		w.Emit(tuple.Int(5))
+		if len(tr.staged) != 2 {
+			t.Fatalf("sends = %+v, want INIT and data", tr.staged)
+		}
+		for _, s := range tr.staged {
+			want := topology.WorkerID(2)
+			if s.in.Stream == tuple.AckStream {
+				want = 3
+			}
+			if len(s.d.Workers) != 1 || s.d.Workers[0] != want {
+				t.Fatalf("stream %d went to %v, want worker %d", s.in.Stream, s.d.Workers, want)
+			}
+		}
+		if tr.staged[0].in.Stream == tr.staged[1].in.Stream {
+			t.Fatalf("sends = %+v, want one INIT and one data tuple", tr.staged)
+		}
+	})
 }
 
 // TestStopBehindRateLimit: Stop must not wait out the input rate limiter. A

@@ -14,6 +14,27 @@ if grep -n 'time\.Sleep' internal/core/tunnel.go internal/worker/worker.go |
 	echo "time.Sleep on the tuple path (see above)" >&2
 	exit 1
 fi
+# The worker loop pays per batch, not per tuple: the functions every tuple
+# passes through read no wall clock and take no lock or select. What is time-
+# or visibility-driven (real clock read, tally publication, the 2·D flush
+# gate) lives in Worker.onTick, called once per coarse-clock tick. EmitOn's
+# one time.Now() is the acked branch's pending stamp and stays.
+no_per_tuple() { # FILE RECEIVER NAME PATTERN
+	if ! sed -n "/^func ($2) $3(/,/^}/p" "$1" | grep -q .; then
+		echo "$1: no func ($2) $3; update the hot-path guard" >&2
+		exit 1
+	fi
+	if sed -n "/^func ($2) $3(/,/^}/p" "$1" | grep -nE "$4"; then
+		echo "$1: func ($2) $3 does per tuple what the loop pays per batch (see above)" >&2
+		exit 1
+	fi
+}
+per_tuple='time\.Now|time\.Since|\.Lock\(\)|select \{'
+no_per_tuple internal/worker/worker.go 'w \*Worker' execute "$per_tuple"
+no_per_tuple internal/worker/worker.go 'w \*Worker' dispatch "$per_tuple"
+no_per_tuple internal/worker/sdntransport.go 't \*SDNTransport' Send "$per_tuple"
+no_per_tuple internal/worker/router.go 'r \*Router' routeInto "$per_tuple"
+no_per_tuple internal/worker/worker.go 'w \*Worker' EmitOn '\.Lock\(\)|select \{'
 # One place computes a latency percentile: metrics.Histogram.Quantile
 # (bench/ is benchmark-owned and keeps its own).
 if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
