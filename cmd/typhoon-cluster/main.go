@@ -1,12 +1,12 @@
-// Command typhoon-cluster starts an emulated Typhoon cluster, optionally
-// submits a demo word-count topology, and serves the central coordinator
-// over TCP so typhoon-ctl can inspect and reconfigure it from another
-// process. The observability endpoint (-metrics) exposes the cluster's
-// metric registry in Prometheus text format, the live top table, sampled
-// tuple-path traces, and net/http/pprof.
+// Command typhoon-cluster starts an emulated Typhoon cluster and optionally
+// submits a demo word-count topology. Its one operator endpoint (-metrics)
+// serves the versioned /api/v1 surface typhoon-ctl inspects and reconfigures
+// the cluster through from another process, the metric registry in
+// Prometheus text format, the live top table, sampled tuple-path traces,
+// and net/http/pprof.
 //
-//	typhoon-cluster -hosts 3 -listen 127.0.0.1:7000 -demo
-//	typhoon-ctl -coordinator 127.0.0.1:7000 list
+//	typhoon-cluster -hosts 3 -demo
+//	typhoon-ctl list
 //	typhoon-ctl top
 //	curl http://127.0.0.1:9090/metrics
 package main
@@ -22,17 +22,15 @@ import (
 	"time"
 
 	"typhoon"
-	"typhoon/internal/coordinator"
 	"typhoon/internal/workload"
 )
 
 func main() {
 	var (
 		hosts      = flag.Int("hosts", 3, "number of emulated compute hosts")
-		listen     = flag.String("listen", "127.0.0.1:7000", "coordinator TCP listen address")
 		mode       = flag.String("mode", "typhoon", "data plane: typhoon or storm")
 		demo       = flag.Bool("demo", false, "submit a demo word-count topology")
-		metrics    = flag.String("metrics", "127.0.0.1:9090", "observability HTTP listen address (empty disables)")
+		metrics    = flag.String("metrics", "127.0.0.1:9090", "operator API and observability HTTP listen address (empty disables)")
 		traceEvery = flag.Int("trace-every", 0, "sample one in N frames for tuple-path tracing (0 = default, negative disables)")
 		ctls       = flag.Int("controllers", 1, "replicated SDN controller instances (typhoon mode; 1 = standalone)")
 		qos        = flag.Bool("qos", false, "enable multi-tenant QoS: meters, weighted egress queues, bandwidth allocator")
@@ -57,16 +55,10 @@ func main() {
 	}
 	defer cluster.Stop()
 
-	srv, err := coordinator.Serve(*listen, cluster.Store)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer srv.Close()
 	if *ctls > 1 {
-		fmt.Printf("cluster up: %d hosts (%s mode, %d replicated controllers), coordinator at %s\n",
-			*hosts, *mode, *ctls, srv.Addr())
+		fmt.Printf("cluster up: %d hosts (%s mode, %d replicated controllers)\n", *hosts, *mode, *ctls)
 	} else {
-		fmt.Printf("cluster up: %d hosts (%s mode), coordinator at %s\n", *hosts, *mode, srv.Addr())
+		fmt.Printf("cluster up: %d hosts (%s mode)\n", *hosts, *mode)
 	}
 
 	if cluster.Controller != nil {
@@ -84,7 +76,7 @@ func main() {
 			}
 		}()
 		defer obsSrv.Close()
-		fmt.Printf("observability at http://%s/metrics (top: /api/v1/top, traces: /api/v1/traces, pprof: /debug/pprof/)\n", *metrics)
+		fmt.Printf("observability at http://%s/metrics (API: /api/v1/{topologies,top,traces,...}, pprof: /debug/pprof/)\n", *metrics)
 	}
 
 	stats := workload.NewStats(time.Second)

@@ -1,13 +1,13 @@
-// Command typhoon-ctl inspects and reconfigures a running cluster through
-// its coordinator's TCP endpoint — the dynamic topology manager operations
-// of §3.2 from another process — and observes it through the cluster's
-// versioned observability API (/api/v1, spoken via internal/apiclient).
+// Command typhoon-ctl inspects, reconfigures and observes a running cluster
+// from another process. Every verb goes through the cluster's one operator
+// door: the versioned /api/v1 surface served on typhoon-cluster's -metrics
+// address, spoken via internal/apiclient.
 //
-//	typhoon-ctl -coordinator 127.0.0.1:7000 list
-//	typhoon-ctl -coordinator 127.0.0.1:7000 describe wordcount
-//	typhoon-ctl -coordinator 127.0.0.1:7000 scale wordcount split 4
-//	typhoon-ctl -coordinator 127.0.0.1:7000 swap wordcount split workload/splitter
-//	typhoon-ctl -coordinator 127.0.0.1:7000 kill wordcount
+//	typhoon-ctl -metrics-addr 127.0.0.1:9090 list
+//	typhoon-ctl -metrics-addr 127.0.0.1:9090 describe wordcount
+//	typhoon-ctl -metrics-addr 127.0.0.1:9090 scale wordcount split 4
+//	typhoon-ctl -metrics-addr 127.0.0.1:9090 swap wordcount split workload/splitter
+//	typhoon-ctl -metrics-addr 127.0.0.1:9090 kill wordcount
 //	typhoon-ctl -metrics-addr 127.0.0.1:9090 metrics
 //	typhoon-ctl -metrics-addr 127.0.0.1:9090 top
 //	typhoon-ctl -metrics-addr 127.0.0.1:9090 trace
@@ -19,142 +19,82 @@
 //	typhoon-ctl -metrics-addr 127.0.0.1:9090 qos status
 //	typhoon-ctl -metrics-addr 127.0.0.1:9090 qos set wordcount guaranteed
 //
-// Reconfigurations work because the streaming manager's logic runs against
-// the coordinator API: this binary embeds a manager speaking to the remote
-// store, and the cluster's controller and agents converge on the updated
-// global state exactly as for in-process requests. The observability
-// subcommands poll typhoon-cluster's -metrics endpoint; every /api/v1/top
-// request makes the controller issue a METRIC_REQ sweep through the
-// control-tuple path, so the rendered table is live.
+// Reconfigurations (scale, swap, kill — the dynamic topology manager
+// operations of §3.2) are requests to the cluster's own streaming manager,
+// which rewrites the global state in the coordinator; the controllers and
+// agents converge on it exactly as for in-process requests. Every
+// /api/v1/top request makes the controller issue a METRIC_REQ sweep through
+// the control-tuple path, so the rendered table is live.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
 	"time"
 
 	"typhoon/internal/apiclient"
-	"typhoon/internal/coordinator"
-	"typhoon/internal/manager"
-	"typhoon/internal/paths"
 )
 
+// errUsage is returned for an unknown verb or a wrong operand count; main
+// answers it with the usage text and exit status 2.
+var errUsage = errors.New("usage")
+
+// viewFlags are the global flags that shape the top and trace views.
+type viewFlags struct {
+	once     bool
+	interval time.Duration
+	count    int
+}
+
 func main() {
-	addr := flag.String("coordinator", "127.0.0.1:7000", "coordinator TCP address")
-	metricsAddr := flag.String("metrics-addr", "127.0.0.1:9090", "cluster observability HTTP address")
-	once := flag.Bool("once", false, "top: print one snapshot instead of refreshing")
-	interval := flag.Duration("interval", 2*time.Second, "top: refresh period")
-	count := flag.Int("n", 10, "trace: number of recent traces to show")
+	metricsAddr := flag.String("metrics-addr", "127.0.0.1:9090", "cluster API address (typhoon-cluster -metrics)")
+	var view viewFlags
+	flag.BoolVar(&view.once, "once", false, "top: print one snapshot instead of refreshing")
+	flag.DurationVar(&view.interval, "interval", 2*time.Second, "top: refresh period")
+	flag.IntVar(&view.count, "n", 10, "trace: number of recent traces to show")
 	flag.Parse()
-	args := flag.Args()
-	if len(args) == 0 {
+
+	err := run(apiclient.New(*metricsAddr), flag.Args(), view, os.Stdout)
+	if errors.Is(err, errUsage) {
 		usage()
 	}
-
-	api := apiclient.New(*metricsAddr)
-	switch args[0] {
-	case "metrics":
-		runMetrics(api)
-		return
-	case "top":
-		runTop(api, *interval, *once)
-		return
-	case "trace":
-		runTrace(api, *count)
-		return
-	case "chaos":
-		runChaos(api, args[1:])
-		return
-	case "rescale":
-		runRescale(api, args[1:])
-		return
-	case "controlplane":
-		runControlPlane(api, args[1:])
-		return
-	case "qos":
-		runQoS(api, args[1:])
-		return
-	case "batch":
-		runBatch(api, args[1:])
-		return
-	case "scenario":
-		runScenario(api, args[1:])
-		return
-	}
-
-	cli, err := coordinator.Dial(*addr)
 	if err != nil {
 		fatal(err)
 	}
-	defer cli.Close()
-	mgr := manager.New(cli, manager.Options{})
-	defer mgr.Stop()
-
-	switch args[0] {
-	case "list":
-		names, err := cli.Children(paths.Topologies)
-		if err != nil {
-			fatal(err)
-		}
-		for _, n := range names {
-			fmt.Println(n)
-		}
-	case "describe":
-		need(args, 2)
-		l, p, err := mgr.Describe(args[1])
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("topology %s (app %d, generation %d)\n", l.Name, l.App, l.Generation)
-		for _, n := range l.Nodes {
-			fmt.Printf("  node %-16s logic=%s parallelism=%d", n.Name, n.Logic, n.Parallelism)
-			if n.Source {
-				fmt.Print(" [source]")
-			}
-			if n.Stateful {
-				fmt.Print(" [stateful]")
-			}
-			fmt.Println()
-		}
-		for _, e := range l.Edges {
-			fmt.Printf("  edge %s -> %s (%s)\n", e.From, e.To, e.Policy)
-		}
-		for _, a := range p.Workers {
-			fmt.Printf("  worker %-4d %-16s host=%s port=%d\n", a.Worker, a.Node, a.Host, a.Port)
-		}
-	case "scale":
-		need(args, 4)
-		n, err := strconv.Atoi(args[3])
-		if err != nil {
-			fatal(err)
-		}
-		if err := mgr.SetParallelism(args[1], args[2], n); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("node %s of %s scaled to %d\n", args[2], args[1], n)
-	case "swap":
-		need(args, 4)
-		if err := mgr.SwapLogic(args[1], args[2], args[3]); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("node %s of %s now runs %s\n", args[2], args[1], args[3])
-	case "kill":
-		need(args, 2)
-		if err := mgr.Kill(args[1]); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("topology %s killed\n", args[1])
-	default:
-		usage()
-	}
 }
 
-func need(args []string, n int) {
-	if len(args) < n {
-		usage()
+// run dispatches one verb. No request leaves the process before the verb is
+// recognised, so a typo costs a usage message, not a dial error.
+func run(api *apiclient.Client, args []string, view viewFlags, out io.Writer) error {
+	if len(args) == 0 {
+		return errUsage
 	}
+	switch args[0] {
+	case "metrics":
+		runMetrics(api)
+	case "top":
+		runTop(api, view.interval, view.once)
+	case "trace":
+		runTrace(api, view.count)
+	case "chaos":
+		runChaos(api, args[1:])
+	case "rescale":
+		runRescale(api, args[1:])
+	case "controlplane":
+		runControlPlane(api, args[1:])
+	case "qos":
+		runQoS(api, args[1:])
+	case "batch":
+		runBatch(api, args[1:])
+	case "scenario":
+		runScenario(api, args[1:])
+	default: // the streaming-manager verbs, or a typo
+		return runTopologies(api, args, out)
+	}
+	return nil
 }
 
 func usage() {

@@ -14,8 +14,8 @@ import (
 //
 //	typhoon-ctl -metrics-addr 127.0.0.1:9090 rescale wordcount count 4
 //
-// Unlike the coordinator-level "scale" verb, which only rewrites the
-// logical topology, this runs the full three-phase protocol: pause and
+// Unlike the "scale" verb, which only rewrites the logical topology, this
+// runs the full three-phase protocol: pause and
 // drain sources, migrate keyed state onto the new instance set, reprogram
 // flow rules, and resume.
 func runRescale(cl *apiclient.Client, args []string) {

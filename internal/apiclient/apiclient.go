@@ -1,8 +1,8 @@
-// Package apiclient is the typed Go client of the cluster observability
-// API — the versioned /api/v1 surface and its envelope contract
+// Package apiclient is the typed Go client of a running cluster's one
+// operator API — the versioned /api/v1 surface and its envelope contract
 // ({"data": ...} on success, {"error": {"code", "message"}} on failure).
-// Every typhoon-ctl observability subcommand speaks through this client;
-// ad-hoc HTTP against the cluster belongs nowhere else.
+// Every typhoon-ctl subcommand speaks through this client; ad-hoc HTTP
+// against the cluster belongs nowhere else.
 package apiclient
 
 import (
@@ -21,6 +21,7 @@ import (
 	"typhoon/internal/observe"
 	"typhoon/internal/scenario"
 	"typhoon/internal/switchfabric"
+	"typhoon/internal/topology"
 )
 
 // DefaultTimeout bounds one API round trip unless a call overrides it
@@ -208,6 +209,46 @@ func (c *Client) ScenarioRun(spec json.RawMessage, duration time.Duration) (*sce
 		return nil, err
 	}
 	return &report, nil
+}
+
+// Topologies lists the names of the submitted topologies, sorted.
+func (c *Client) Topologies() ([]string, error) {
+	var names []string
+	err := c.get("topologies", nil, &names)
+	return names, err
+}
+
+// Describe fetches one topology's stored logical and physical state.
+func (c *Client) Describe(name string) (*topology.Logical, *topology.Physical, error) {
+	var d struct {
+		Logical  *topology.Logical  `json:"logical"`
+		Physical *topology.Physical `json:"physical"`
+	}
+	if err := c.get("topologies", url.Values{"name": {name}}, &d); err != nil {
+		return nil, nil, err
+	}
+	return d.Logical, d.Physical, nil
+}
+
+// Scale sets a node's parallelism through the streaming manager: the
+// logical topology is rewritten and rescheduled, and agents and controllers
+// converge on it after the call returns. Keyed state is not migrated —
+// Rescale is the managed protocol for stateful nodes.
+func (c *Client) Scale(name, node string, parallelism int) error {
+	return c.post("topologies", url.Values{"name": {name}, "op": {"scale"},
+		"node": {node}, "parallelism": {strconv.Itoa(parallelism)}}, nil, nil)
+}
+
+// SwapLogic replaces a node's computation logic with fresh workers.
+func (c *Client) SwapLogic(name, node, logic string) error {
+	return c.post("topologies", url.Values{"name": {name}, "op": {"swap"},
+		"node": {node}, "logic": {logic}}, nil, nil)
+}
+
+// Kill removes a topology; agents stop its workers and the controllers tear
+// down its rules.
+func (c *Client) Kill(name string) error {
+	return c.post("topologies", url.Values{"name": {name}, "op": {"kill"}}, nil, nil)
 }
 
 // ControlPlane fetches controller registrations and per-switch mastership.

@@ -13,6 +13,8 @@ import (
 	"typhoon/internal/core"
 	"typhoon/internal/observe"
 	"typhoon/internal/switchfabric"
+	"typhoon/internal/topology"
+	"typhoon/internal/workload"
 )
 
 // serve mounts the real observe.Handler so the client is tested against
@@ -195,5 +197,75 @@ func TestQoSStatusThroughHandler(t *testing.T) {
 	}
 	if !st.Enabled || len(st.Queues) != 3 || st.Queues[0].Name != "guaranteed" {
 		t.Fatalf("QoS = %+v", st)
+	}
+}
+
+// TestTopologiesAgainstStormCluster drives /api/v1/topologies on a real
+// baseline-mode cluster (it has a streaming manager too): the typed calls
+// succeed, and every refusal is the error half of the envelope with the
+// handler's status.
+func TestTopologiesAgainstStormCluster(t *testing.T) {
+	c, err := core.NewCluster(core.Config{Mode: core.ModeStorm, Hosts: []string{"h1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	c.Env.Set(workload.EnvStats, workload.NewStats(time.Second))
+	c.Env.Set(workload.EnvConfig, workload.NewConfig())
+	b := topology.NewBuilder("pipe", 1)
+	b.Source("src", workload.LogicSeqSource, 1)
+	b.Node("sink", workload.LogicSink, 1).ShuffleFrom("src")
+	l, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Submit(l, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c.ObserveHandler())
+	defer srv.Close()
+	cl := apiclient.New(strings.TrimPrefix(srv.URL, "http://"))
+
+	if names, err := cl.Topologies(); err != nil || len(names) != 1 || names[0] != "pipe" {
+		t.Fatalf("Topologies = %v, %v", names, err)
+	}
+	if err := cl.Scale("pipe", "sink", 2); err != nil {
+		t.Fatalf("Scale: %v", err)
+	}
+	lg, ph, err := cl.Describe("pipe")
+	if err != nil || lg.Node("sink").Parallelism != 2 || len(ph.Instances("sink")) != 2 {
+		t.Fatalf("Describe after Scale = %+v, %+v, %v", lg, ph, err)
+	}
+
+	refused := func(what string, err error, status int) {
+		t.Helper()
+		apiErr, ok := err.(*apiclient.Error)
+		if !ok || apiErr.Status != status || apiErr.Message == "" {
+			t.Errorf("%s = %v, want *apiclient.Error with status %d", what, err, status)
+		}
+	}
+	_, _, err = cl.Describe("ghost")
+	refused("Describe(unknown topology)", err, http.StatusNotFound)
+	refused("Scale(unknown topology)", cl.Scale("ghost", "sink", 2), http.StatusNotFound)
+	refused("Kill(unknown topology)", cl.Kill("ghost"), http.StatusNotFound)
+	refused("Scale(unknown node)", cl.Scale("pipe", "ghost", 2), http.StatusConflict)
+	refused("SwapLogic(unknown node)", cl.SwapLogic("pipe", "ghost", workload.LogicForwarder), http.StatusConflict)
+	refused("Scale(parallelism 0)", cl.Scale("pipe", "sink", 0), http.StatusBadRequest)
+
+	// A mutating op sent as GET is refused, in the envelope, and does nothing.
+	resp, err := http.Get(srv.URL + "/api/v1/topologies?name=pipe&op=kill")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env observe.Envelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatalf("GET op=kill: body is not an envelope: %v", err)
+	}
+	if resp.StatusCode != http.StatusMethodNotAllowed || env.Error == nil || env.Error.Code != resp.StatusCode || env.Data != nil {
+		t.Fatalf("GET op=kill = %d %+v, want a 405 error envelope", resp.StatusCode, env)
+	}
+	if names, _ := cl.Topologies(); len(names) != 1 {
+		t.Fatalf("topology gone after a refused GET op=kill: %v", names)
 	}
 }

@@ -23,7 +23,6 @@ package conformance
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
 	"sync"
 	"time"
 
@@ -187,24 +186,14 @@ func (c *KeyedCounter) Execute(ctx *worker.Context, in tuple.Tuple) error {
 
 // SnapshotState implements worker.StatefulComponent.
 func (c *KeyedCounter) SnapshotState(_ *worker.Context, r worker.KeyRange) (map[string][]byte, error) {
-	out := make(map[string][]byte)
-	for key, n := range c.counts {
-		if r.Contains(worker.PartitionOfKey(key)) {
-			out[key] = []byte(strconv.FormatInt(n, 10))
-		}
-	}
-	return out, nil
+	return worker.SnapshotCounts(c.counts, r), nil
 }
 
 // RestoreState implements worker.StatefulComponent (replace semantics).
 func (c *KeyedCounter) RestoreState(_ *worker.Context, state map[string][]byte) error {
-	counts := make(map[string]int64, len(state))
-	for key, blob := range state {
-		n, err := strconv.ParseInt(string(blob), 10, 64)
-		if err != nil {
-			return fmt.Errorf("conformance: bad count for %q: %w", key, err)
-		}
-		counts[key] = n
+	counts, err := worker.RestoreCounts(state)
+	if err != nil {
+		return err
 	}
 	c.counts = counts
 	return nil

@@ -83,10 +83,6 @@ type Options struct {
 	LeaseTTL time.Duration
 	// TickInterval drives periodic reconciliation and app ticks.
 	TickInterval time.Duration
-	// RuleIdleTimeout, when non-zero, installs data rules with an idle
-	// timeout instead of relying on explicit deletion (the paper's §3.5
-	// garbage collection; also an ablation knob).
-	RuleIdleTimeout time.Duration
 	// StatefulFlushDelay separates SIGNAL flushes from the routing
 	// updates that follow during stable stateful reconfiguration.
 	StatefulFlushDelay time.Duration

@@ -124,11 +124,7 @@ func (c *Controller) SyncTopology(name string) {
 		return 1
 	}
 
-	idle := uint32(0)
-	if c.opts.RuleIdleTimeout > 0 {
-		idle = uint32(c.opts.RuleIdleTimeout / time.Millisecond)
-	}
-	desired, groups := compileRules(l, p, tun, groupOf, weightOf, idle, meterID)
+	desired, groups := compileRules(l, p, tun, groupOf, weightOf, meterID)
 
 	// Apply live-debugger taps: mirror the tapped workers' egress rules
 	// to their debug ports. Doing it here keeps taps stable across
@@ -241,7 +237,7 @@ func (c *Controller) SyncTopology(name string) {
 			// timeout so it expires once traffic ceases.
 			expiring := fm
 			expiring.Command = openflow.FlowAdd
-			expiring.IdleTimeoutMs = staleRuleIdleMs(c.opts.RuleIdleTimeout)
+			expiring.IdleTimeoutMs = staleRuleIdleMs
 			_, _ = dp.conn.Send(expiring)
 		}
 	}
@@ -453,13 +449,9 @@ func instancesEqual(a, b []topology.Assignment) bool {
 	return true
 }
 
-// staleRuleIdleMs picks the idle timeout for rules being phased out.
-func staleRuleIdleMs(configured time.Duration) uint32 {
-	if configured > 0 {
-		return uint32(configured / time.Millisecond)
-	}
-	return 2000
-}
+// staleRuleIdleMs is the idle timeout for rules being phased out; live
+// rules carry none.
+const staleRuleIdleMs = 2000
 
 // tunnelPort finds the datapath's tunnel port by its conventional name.
 func tunnelPort(dp *Datapath) (uint32, bool) {
@@ -477,7 +469,7 @@ func tunnelPort(dp *Datapath) (uint32, bool) {
 // how tenant traffic picks up its QoS treatment at every switch and tunnel.
 func compileRules(l *topology.Logical, p *topology.Physical, tun map[string]uint32,
 	groupOf func(topology.WorkerID) uint32, weightOf func(topology.WorkerID) uint16,
-	idleMs uint32, meterID uint32) (map[ruleKey]openflow.FlowMod, []hostGroupMod) {
+	meterID uint32) (map[ruleKey]openflow.FlowMod, []hostGroupMod) {
 
 	rules := make(map[ruleKey]openflow.FlowMod)
 	var groups []hostGroupMod
@@ -486,7 +478,6 @@ func compileRules(l *topology.Logical, p *topology.Physical, tun map[string]uint
 		return packet.WorkerAddr(l.App, uint32(id))
 	}
 	add := func(host string, fm openflow.FlowMod) {
-		fm.IdleTimeoutMs = idleMs
 		if meterID != 0 && fm.Priority != prioControl {
 			fm.Meter = meterID
 			fm.Actions = append([]openflow.Action{openflow.SetQueue(queue)}, fm.Actions...)

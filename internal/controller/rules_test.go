@@ -48,7 +48,7 @@ func unitWeight(topology.WorkerID) uint16 { return 1 }
 func compile(t *testing.T, policy topology.RoutingPolicy) map[ruleKey]openflow.FlowMod {
 	t.Helper()
 	l, p := fixture(policy)
-	rules, _ := compileRules(l, p, testTun, func(topology.WorkerID) uint32 { return 1 }, unitWeight, 0, 0)
+	rules, _ := compileRules(l, p, testTun, func(topology.WorkerID) uint32 { return 1 }, unitWeight, 0)
 	return rules
 }
 
@@ -161,7 +161,7 @@ func TestCompileBroadcast(t *testing.T) {
 
 func TestCompileSDNBalancedGroups(t *testing.T) {
 	l, p := fixture(topology.SDNBalanced)
-	rules, groups := compileRules(l, p, testTun, func(topology.WorkerID) uint32 { return 7 }, unitWeight, 0, 0)
+	rules, groups := compileRules(l, p, testTun, func(topology.WorkerID) uint32 { return 7 }, unitWeight, 0)
 	if len(groups) != 1 || groups[0].host != "h1" {
 		t.Fatalf("groups = %+v", groups)
 	}
@@ -189,12 +189,15 @@ func TestCompileSDNBalancedGroups(t *testing.T) {
 	}
 }
 
+// The idle timeout applied to a compiled rule is none: a live rule must not
+// age out under a quiet edge. Only rules being phased out get one
+// (staleRuleIdleMs, set where SyncTopology re-installs them).
 func TestCompileIdleTimeoutApplied(t *testing.T) {
 	l, p := fixture(topology.Shuffle)
-	rules, _ := compileRules(l, p, testTun, func(topology.WorkerID) uint32 { return 1 }, unitWeight, 1234, 0)
+	rules, _ := compileRules(l, p, testTun, func(topology.WorkerID) uint32 { return 1 }, unitWeight, 0)
 	for _, fm := range rules {
-		if fm.IdleTimeoutMs != 1234 {
-			t.Fatalf("idle timeout not applied: %+v", fm)
+		if fm.IdleTimeoutMs != 0 {
+			t.Fatalf("live rule would expire: %+v", fm)
 		}
 	}
 }
@@ -206,7 +209,7 @@ func TestCompileAckEdges(t *testing.T) {
 		From: "src", To: "sink", Policy: topology.Fields,
 		HashFields: []int{1}, Stream: tuple.AckStream,
 	})
-	rules, _ := compileRules(l, p, testTun, func(topology.WorkerID) uint32 { return 1 }, unitWeight, 0, 0)
+	rules, _ := compileRules(l, p, testTun, func(topology.WorkerID) uint32 { return 1 }, unitWeight, 0)
 	if findRule(rules, "h1", func(fm openflow.FlowMod) bool {
 		return fm.Match.DlDst == packet.WorkerAddr(1, 4) && fm.Match.InPort == 10
 	}) == nil {
@@ -215,11 +218,8 @@ func TestCompileAckEdges(t *testing.T) {
 }
 
 func TestStaleRuleIdleMs(t *testing.T) {
-	if staleRuleIdleMs(0) != 2000 {
+	if staleRuleIdleMs != 2000 {
 		t.Fatal("default stale idle timeout")
-	}
-	if staleRuleIdleMs(500000000) != 500 { // 500ms in ns
-		t.Fatal("configured stale idle timeout")
 	}
 }
 
@@ -228,7 +228,7 @@ func TestStaleRuleIdleMs(t *testing.T) {
 func TestCompileRulesQoS(t *testing.T) {
 	l, p := fixture(topology.Shuffle)
 	l.QoSClass = topology.QoSBurstable
-	rules, _ := compileRules(l, p, testTun, func(topology.WorkerID) uint32 { return 1 }, unitWeight, 0, 42)
+	rules, _ := compileRules(l, p, testTun, func(topology.WorkerID) uint32 { return 1 }, unitWeight, 42)
 	for _, fm := range rules {
 		if fm.Priority == prioControl {
 			if fm.Meter != 0 {
@@ -245,7 +245,7 @@ func TestCompileRulesQoS(t *testing.T) {
 		}
 	}
 	// QoS off (meterID 0): byte-identical to the legacy rule set.
-	plain, _ := compileRules(l, p, testTun, func(topology.WorkerID) uint32 { return 1 }, unitWeight, 0, 0)
+	plain, _ := compileRules(l, p, testTun, func(topology.WorkerID) uint32 { return 1 }, unitWeight, 0)
 	for _, fm := range plain {
 		if fm.Meter != 0 || fm.Actions[0].Type == openflow.ActSetQueue {
 			t.Fatalf("QoS leaked into non-QoS compilation: %+v", fm)

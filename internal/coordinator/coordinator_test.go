@@ -183,126 +183,6 @@ func TestPropertyVersionsMonotonic(t *testing.T) {
 	}
 }
 
-func newClientServer(t *testing.T) (*Client, *Store) {
-	t.Helper()
-	store := NewStore()
-	srv, err := Serve("127.0.0.1:0", store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cli.Close() })
-	return cli, store
-}
-
-func TestClientServerCRUD(t *testing.T) {
-	cli, _ := newClientServer(t)
-	if err := cli.Create("/a", []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.Create("/a", []byte("1")); err != ErrExists {
-		t.Fatalf("remote duplicate create: %v", err)
-	}
-	v, err := cli.Put("/a", []byte("2"))
-	if err != nil || v != 2 {
-		t.Fatalf("remote put: v=%d err=%v", v, err)
-	}
-	data, v, err := cli.Get("/a")
-	if err != nil || string(data) != "2" || v != 2 {
-		t.Fatalf("remote get: %q %d %v", data, v, err)
-	}
-	if _, err := cli.CompareAndSet("/a", []byte("3"), 1); err != ErrBadVersion {
-		t.Fatalf("remote stale CAS: %v", err)
-	}
-	if _, err := cli.CompareAndSet("/a", []byte("3"), 2); err != nil {
-		t.Fatal(err)
-	}
-	kids, err := cli.Children("/")
-	if err != nil || len(kids) != 1 {
-		t.Fatalf("remote children: %v %v", kids, err)
-	}
-	if err := cli.Delete("/a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := cli.Get("/a"); err != ErrNotFound {
-		t.Fatalf("remote get deleted: %v", err)
-	}
-}
-
-func TestClientWatchSeesServerSideWrites(t *testing.T) {
-	cli, store := newClientServer(t)
-	ch, cancel, err := cli.Watch("/topo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
-	// Write through a different path: directly into the store.
-	store.Put("/topo/x", []byte("v"))
-	select {
-	case ev := <-ch:
-		if ev.Type != EventCreated || ev.Path != "/topo/x" || string(ev.Data) != "v" {
-			t.Fatalf("event = %+v", ev)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no watch event over TCP")
-	}
-	cancel()
-	// After cancel, further writes produce no events.
-	store.Put("/topo/y", []byte("v"))
-	select {
-	case ev, ok := <-ch:
-		if ok {
-			t.Fatalf("event after cancel: %+v", ev)
-		}
-	case <-time.After(50 * time.Millisecond):
-	}
-}
-
-func TestClientCloseFailsPending(t *testing.T) {
-	cli, _ := newClientServer(t)
-	ch, _, err := cli.Watch("/w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli.Close()
-	if _, ok := <-ch; ok {
-		t.Fatal("watch should close when client closes")
-	}
-	if err := cli.Create("/x", nil); err == nil {
-		t.Fatal("call after close should fail")
-	}
-}
-
-func TestMultipleClients(t *testing.T) {
-	cli1, _ := newClientServer(t)
-	cli2, err := Dial(cli1.conn.RemoteAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli2.Close()
-	ch, cancel, _ := cli2.Watch("/shared")
-	defer cancel()
-	if _, err := cli1.Put("/shared/k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case ev := <-ch:
-		if ev.Path != "/shared/k" {
-			t.Fatalf("path = %s", ev.Path)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cross-client watch failed")
-	}
-	got, _, err := cli2.Get("/shared/k")
-	if err != nil || string(got) != "v" {
-		t.Fatalf("cross-client get: %q %v", got, err)
-	}
-}
-
 func TestEventTypeString(t *testing.T) {
 	for _, et := range []EventType{EventCreated, EventUpdated, EventDeleted, EventType(9)} {
 		if et.String() == "" {

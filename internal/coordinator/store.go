@@ -7,8 +7,10 @@
 // for assignments, and the stateless SDN controller reconstructs the global
 // state it needs to generate flow rules.
 //
-// The store is usable in process (Store) or over TCP (Server/Client); both
-// present the same KV interface.
+// Store is the one implementation and lives in the cluster's process; its
+// users take the KV interface. It has no wire protocol of its own: another
+// process reaches a running cluster through /api/v1 (internal/apiclient),
+// where the streaming manager validates what it is asked to change.
 package coordinator
 
 import (
@@ -59,8 +61,8 @@ type Event struct {
 	Version int64
 }
 
-// KV is the coordination API shared by the in-process store and the TCP
-// client.
+// KV is the coordination API the manager, agents and controllers are
+// written against.
 type KV interface {
 	// Create makes a node; it fails with ErrExists if present.
 	Create(path string, data []byte) error

@@ -73,8 +73,6 @@ type Config struct {
 	DrainDelay time.Duration
 	// RestartDelay spaces local restarts of crashed workers.
 	RestartDelay time.Duration
-	// RuleIdleTimeout optionally ages out flow rules (ablation knob).
-	RuleIdleTimeout time.Duration
 	// OnWorkerCrash observes worker crashes (experiments).
 	OnWorkerCrash func(topo string, id topology.WorkerID, err error)
 	// TraceEvery samples one in N emitted frames for tuple-path tracing
@@ -178,10 +176,7 @@ func NewCluster(options ...Option) (*Cluster, error) {
 			n = 1
 		}
 		for i := 0; i < n; i++ {
-			opts := controller.Options{
-				RuleIdleTimeout: cfg.RuleIdleTimeout,
-				EnableQoS:       cfg.QoS.Enable,
-			}
+			opts := controller.Options{EnableQoS: cfg.QoS.Enable}
 			var labels observe.Labels
 			if n > 1 {
 				// Replicated control plane: tight ticks so mastership

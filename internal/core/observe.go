@@ -3,13 +3,16 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
 	"time"
 
 	"typhoon/internal/agent"
 	"typhoon/internal/controller"
+	"typhoon/internal/coordinator"
 	"typhoon/internal/observe"
+	"typhoon/internal/paths"
 	"typhoon/internal/switchfabric"
 	"typhoon/internal/topology"
 	"typhoon/internal/worker"
@@ -182,6 +185,7 @@ func (c *Cluster) ObserveHandler() http.Handler {
 		Rescale:      rescaleHandler,
 		ControlPlane: controlPlaneHandler,
 		Qos:          qosHandler,
+		Topologies:   http.HandlerFunc(c.serveTopologies),
 		Batch:        http.HandlerFunc(c.serveBatch),
 		Scenario:     http.HandlerFunc(c.serveScenario),
 		EnablePprof:  true,
@@ -235,4 +239,63 @@ func (c *Cluster) serveRescale(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(report)
+}
+
+// serveTopologies is the /api/v1/topologies handler, the operator's door to
+// the cluster's one streaming manager (both modes have one). GET lists the
+// topology names, or with name=T returns T's stored {logical, physical}
+// pair; POST with name=T applies op=scale (node, parallelism), op=swap
+// (node, logic) or op=kill. The manager only rewrites the coordinator's
+// global state — agents and controllers converge on it afterwards, so a
+// POST returns before the new workers run (unlike /api/v1/rescale).
+func (c *Cluster) serveTopologies(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	name, op, node := q.Get("name"), q.Get("op"), q.Get("node")
+	var out any = map[string]string{"status": "ok"}
+	var err error
+	switch {
+	case r.Method == http.MethodGet && op == "" && name == "":
+		out, err = c.Store.Children(paths.Topologies)
+	case r.Method == http.MethodGet && op == "":
+		var d struct {
+			Logical  *topology.Logical  `json:"logical"`
+			Physical *topology.Physical `json:"physical"`
+		}
+		d.Logical, d.Physical, err = c.Manager.Describe(name)
+		out = d
+	case r.Method != http.MethodPost:
+		http.Error(w, "GET (list, describe) or POST (op) required", http.StatusMethodNotAllowed)
+		return
+	case name == "":
+		http.Error(w, "name required", http.StatusBadRequest)
+		return
+	case op == "scale":
+		parallelism, perr := strconv.Atoi(q.Get("parallelism"))
+		if node == "" || perr != nil || parallelism < 1 {
+			http.Error(w, "node and parallelism >= 1 required", http.StatusBadRequest)
+			return
+		}
+		err = c.Manager.SetParallelism(name, node, parallelism)
+	case op == "swap":
+		if node == "" || q.Get("logic") == "" {
+			http.Error(w, "node and logic required", http.StatusBadRequest)
+			return
+		}
+		err = c.Manager.SwapLogic(name, node, q.Get("logic"))
+	case op == "kill":
+		err = c.Manager.Kill(name)
+	default:
+		http.Error(w, "op must be scale, swap or kill", http.StatusBadRequest)
+		return
+	}
+	if errors.Is(err, coordinator.ErrNotFound) {
+		http.Error(w, "unknown topology "+strconv.Quote(name), http.StatusNotFound)
+		return
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusConflict)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(out)
 }

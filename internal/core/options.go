@@ -62,13 +62,6 @@ func WithDefaultBatchSize(n int) Option {
 	return optionFunc(func(c *Config) { c.DefaultBatchSize = n })
 }
 
-// WithDefaultFlushDeadline bounds how long emitted tuples sit staged in a
-// worker's transport before the worker loop flushes them (both modes).
-// Default 0 selects worker.DefaultFlushDeadline; negative disables the bound.
-func WithDefaultFlushDeadline(d time.Duration) Option {
-	return optionFunc(func(c *Config) { c.DefaultFlushDeadline = d })
-}
-
 // WithAckTimeout sets the source replay timeout under guaranteed
 // processing. Default: acking disabled.
 func WithAckTimeout(d time.Duration) Option {
@@ -91,12 +84,6 @@ func WithDrainDelay(d time.Duration) Option {
 // Default: the agent's built-in delay.
 func WithRestartDelay(d time.Duration) Option {
 	return optionFunc(func(c *Config) { c.RestartDelay = d })
-}
-
-// WithRuleIdleTimeout ages out flow rules (ablation knob). Default: 0
-// (explicit deletion only).
-func WithRuleIdleTimeout(d time.Duration) Option {
-	return optionFunc(func(c *Config) { c.RuleIdleTimeout = d })
 }
 
 // WithOnWorkerCrash observes worker crashes (experiments). Default: none.
@@ -164,7 +151,6 @@ func (c *Config) validate() error {
 		{"AckTimeout", c.AckTimeout},
 		{"DrainDelay", c.DrainDelay},
 		{"RestartDelay", c.RestartDelay},
-		{"RuleIdleTimeout", c.RuleIdleTimeout},
 	} {
 		if d.v < 0 {
 			return fmt.Errorf("core: negative %s", d.name)

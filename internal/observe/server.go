@@ -71,6 +71,10 @@ type ServerOptions struct {
 	// rate classes and meter/queue statistics, POST reassigns a topology's
 	// class and configured rate).
 	Qos http.Handler
+	// Topologies, when non-nil, is mounted at /api/v1/topologies (GET lists
+	// topologies or describes one, POST scales a node, swaps its logic or
+	// kills the topology through the streaming manager).
+	Topologies http.Handler
 	// Batch, when non-nil, is mounted at /api/v1/batch (GET reports batching
 	// defaults and realized per-host occupancy, POST retunes batch size
 	// and flush deadline cluster-wide).
@@ -108,6 +112,7 @@ type APIError struct {
 //	/api/v1/rescale          managed stable rescale (POST topo/node/parallelism)
 //	/api/v1/controlplane     controller registrations and switch mastership
 //	/api/v1/qos              rate classes and meter/queue stats (GET), class/rate set (POST)
+//	/api/v1/topologies       list / describe (GET), scale / swap / kill (POST name, op)
 //	/api/v1/batch            batching defaults and occupancy (GET), size/deadline set (POST)
 //	/api/v1/scenario         declarative scenario run (POST spec, returns report)
 //	/debug/pprof/*           standard Go profiling endpoints
@@ -151,6 +156,9 @@ func Handler(o ServerOptions) http.Handler {
 	}
 	if o.Qos != nil {
 		route("qos", o.Qos)
+	}
+	if o.Topologies != nil {
+		route("topologies", o.Topologies)
 	}
 	if o.Batch != nil {
 		route("batch", o.Batch)

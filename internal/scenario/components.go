@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -256,24 +255,14 @@ func (k *KeyedStage) Execute(ctx *worker.Context, in tuple.Tuple) error {
 
 // SnapshotState implements worker.StatefulComponent.
 func (k *KeyedStage) SnapshotState(_ *worker.Context, r worker.KeyRange) (map[string][]byte, error) {
-	out := make(map[string][]byte)
-	for key, n := range k.counts {
-		if r.Contains(worker.PartitionOfKey(key)) {
-			out[key] = []byte(strconv.FormatInt(n, 10))
-		}
-	}
-	return out, nil
+	return worker.SnapshotCounts(k.counts, r), nil
 }
 
 // RestoreState implements worker.StatefulComponent (replace semantics).
 func (k *KeyedStage) RestoreState(_ *worker.Context, state map[string][]byte) error {
-	counts := make(map[string]int64, len(state))
-	for key, blob := range state {
-		n, err := strconv.ParseInt(string(blob), 10, 64)
-		if err != nil {
-			return fmt.Errorf("scenario: bad count for %q: %w", key, err)
-		}
-		counts[key] = n
+	counts, err := worker.RestoreCounts(state)
+	if err != nil {
+		return err
 	}
 	k.counts = counts
 	return nil

@@ -90,18 +90,6 @@ type optionFunc func(*Options)
 
 func (f optionFunc) apply(o *Options) { f(o) }
 
-// WithRingCapacity sizes each port's RX and TX rings in frames.
-// Default: the ring package's default capacity.
-func WithRingCapacity(n int) Option {
-	return optionFunc(func(o *Options) { o.RingCapacity = n })
-}
-
-// WithIdleScanInterval sets how often flow-rule idle timeouts are
-// evaluated. Default: 50 ms.
-func WithIdleScanInterval(d time.Duration) Option {
-	return optionFunc(func(o *Options) { o.IdleScanInterval = d })
-}
-
 // WithoutMicroflowCache disables the per-port exact-match cache.
 func WithoutMicroflowCache() Option {
 	return optionFunc(func(o *Options) { o.DisableMicroflowCache = true })
@@ -110,11 +98,6 @@ func WithoutMicroflowCache() Option {
 // WithoutMegaflowCache disables the per-port wildcarded megaflow cache.
 func WithoutMegaflowCache() Option {
 	return optionFunc(func(o *Options) { o.DisableMegaflowCache = true })
-}
-
-// WithEgressQueues enables per-class weighted fair queueing on every port.
-func WithEgressQueues(classes ...QueueClass) Option {
-	return optionFunc(func(o *Options) { o.EgressQueues = classes })
 }
 
 // pumpBatchSize is how many frames a port pump drains per wakeup; trace

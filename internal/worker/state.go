@@ -1,6 +1,9 @@
 package worker
 
 import (
+	"fmt"
+	"strconv"
+
 	"typhoon/internal/tuple"
 )
 
@@ -42,6 +45,33 @@ type StatefulComponent interface {
 	// RestoreState replaces the component's entire state with the given
 	// entries (replace semantics: keys absent from state are dropped).
 	RestoreState(ctx *Context, state map[string][]byte) error
+}
+
+// SnapshotCounts is the SnapshotState of a component whose whole state is
+// one count per routing key: the entries whose key falls in r, each count
+// encoded as decimal text.
+func SnapshotCounts(counts map[string]int64, r KeyRange) map[string][]byte {
+	out := make(map[string][]byte)
+	for key, n := range counts {
+		if r.Contains(PartitionOfKey(key)) {
+			out[key] = []byte(strconv.FormatInt(n, 10))
+		}
+	}
+	return out
+}
+
+// RestoreCounts decodes SnapshotCounts entries into a fresh count table;
+// with replace semantics the caller's table becomes exactly the result.
+func RestoreCounts(state map[string][]byte) (map[string]int64, error) {
+	counts := make(map[string]int64, len(state))
+	for key, blob := range state {
+		n, err := strconv.ParseInt(string(blob), 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("worker: bad count for %q: %w", key, err)
+		}
+		counts[key] = n
+	}
+	return counts, nil
 }
 
 // PartitionOf maps a routing hash to its key partition.

@@ -7,7 +7,6 @@ package workload
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
 
 	"typhoon/internal/metrics"
 	"typhoon/internal/tuple"
@@ -24,25 +23,15 @@ func init() {
 // SnapshotState implements worker.StatefulComponent: each word's count in
 // the requested partition range, encoded as decimal text.
 func (c *Counter) SnapshotState(_ *worker.Context, r worker.KeyRange) (map[string][]byte, error) {
-	out := make(map[string][]byte)
-	for w, n := range c.counts {
-		if r.Contains(worker.PartitionOfKey(w)) {
-			out[w] = []byte(strconv.FormatInt(n, 10))
-		}
-	}
-	return out, nil
+	return worker.SnapshotCounts(c.counts, r), nil
 }
 
 // RestoreState implements worker.StatefulComponent with replace semantics:
 // the cache becomes exactly the migrated entries.
 func (c *Counter) RestoreState(_ *worker.Context, state map[string][]byte) error {
-	counts := make(map[string]int64, len(state))
-	for w, blob := range state {
-		n, err := strconv.ParseInt(string(blob), 10, 64)
-		if err != nil {
-			return fmt.Errorf("workload: bad count for %q: %w", w, err)
-		}
-		counts[w] = n
+	counts, err := worker.RestoreCounts(state)
+	if err != nil {
+		return err
 	}
 	c.counts = counts
 	return nil

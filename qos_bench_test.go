@@ -21,6 +21,7 @@ import (
 	"typhoon/internal/switchfabric"
 	"typhoon/internal/topology"
 	"typhoon/internal/tuple"
+	"typhoon/internal/worker"
 	"typhoon/internal/workload"
 )
 
@@ -220,5 +221,20 @@ func BenchmarkQoS(b *testing.B) {
 		if err := os.WriteFile(path, blob, 0o644); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func waitSrc(b *testing.B, c *core.Cluster, topo string) *worker.Worker {
+	b.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		ws := c.WorkersOf(topo, "src")
+		if len(ws) == 1 {
+			return ws[0]
+		}
+		if time.Now().After(deadline) {
+			b.Fatal("source missing")
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

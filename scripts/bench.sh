@@ -21,8 +21,6 @@ test -s "${BENCH_RESCALE_JSON:-BENCH_rescale.json}"
 BENCH_JSON="${BENCH_DATAPLANE_JSON:-BENCH_dataplane.json}" \
 	go test -run '^$' -bench '^BenchmarkDataplane$' -benchtime 1x "$@" .
 test -s "${BENCH_DATAPLANE_JSON:-BENCH_dataplane.json}"
-# Regression gate: emit→recv throughput and allocs against checked-in floors.
-go run ./scripts/benchgate "${BENCH_DATAPLANE_JSON:-BENCH_dataplane.json}"
 BENCH_JSON="${BENCH_FAILOVER_JSON:-BENCH_failover.json}" \
 	go test -run '^$' -bench '^BenchmarkFailover$' -benchtime 1x "$@" .
 test -s "${BENCH_FAILOVER_JSON:-BENCH_failover.json}"

@@ -51,6 +51,18 @@ if grep -n 'KindMetricReq\|control\.MetricResp' internal/controller/*.go |
 	echo "METRIC_REQ/METRIC_RESP handled outside workerstats.go and updater.go (see above)" >&2
 	exit 1
 fi
+# One door into a running cluster: typhoon-ctl speaks only /api/v1 through
+# internal/apiclient — no coordinator connection, no second streaming
+# manager, no sockets or ad-hoc HTTP of its own — and the coordinator has no
+# wire protocol to speak to (its remote access is that API).
+if grep -rnE '"typhoon/internal/(coordinator|manager|paths)"|^[[:space:]]*"net"$|http\.(Get|Post|Client|NewRequest)' cmd/typhoon-ctl/; then
+	echo "typhoon-ctl must go through internal/apiclient (see above)" >&2
+	exit 1
+fi
+if grep -nE '^[[:space:]]*"(net|encoding/gob)"$' internal/coordinator/*.go; then
+	echo "internal/coordinator is in-process: no listener, no wire codec (see above)" >&2
+	exit 1
+fi
 go test -race ./...
 # bench/ is a module of its own, so ./... above does not see it; a signature
 # change must not break the benchmark unnoticed.
@@ -61,3 +73,5 @@ go test -fuzz '^FuzzDecode$' -fuzztime 5s -run '^FuzzDecode$' ./internal/openflo
 go test -fuzz '^FuzzDecode$' -fuzztime 5s -run '^FuzzDecode$' ./internal/packet/
 go test -fuzz '^FuzzDecodeBatch$' -fuzztime 5s -run '^FuzzDecodeBatch$' ./internal/tuple/
 go test -fuzz '^FuzzDecodeControl$' -fuzztime 5s -run '^FuzzDecodeControl$' ./internal/control/
+# The one JSON body /api/v1 takes off the socket besides chaos specs.
+go test -fuzz '^FuzzParseSpec$' -fuzztime 5s -run '^FuzzParseSpec$' ./internal/scenario/

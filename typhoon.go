@@ -185,8 +185,6 @@ var (
 	WithDrainDelay = core.WithDrainDelay
 	// WithRestartDelay spaces local restarts of crashed workers.
 	WithRestartDelay = core.WithRestartDelay
-	// WithRuleIdleTimeout ages out flow rules (ablation knob).
-	WithRuleIdleTimeout = core.WithRuleIdleTimeout
 	// WithOnWorkerCrash observes worker crashes.
 	WithOnWorkerCrash = core.WithOnWorkerCrash
 	// WithTraceEvery samples one in n frames for tuple-path tracing.
