@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"typhoon/internal/chaos"
+	"typhoon/internal/packet"
 	"typhoon/internal/switchfabric"
 )
 
@@ -123,56 +124,108 @@ func (t *tunnelEndpoint) close() {
 	t.wg.Wait()
 }
 
-// egressLoop moves frames from the switch's tunnel port onto TCP.
+// egressLoop moves frames from the switch's tunnel port onto TCP. Every
+// frame it dequeues is an encapsulation the switch built in a pooled buffer
+// and handed over for good, so once the inner frame is in the connection's
+// write buffer — or has been dropped — the buffer re-enters the pool.
 func (t *tunnelEndpoint) egressLoop() {
 	defer t.wg.Done()
 	var batch [][]byte
-	var hdr [4]byte
+	// host is the destination of the last frame: traffic runs toward one
+	// peer at a time, so its name is allocated when it changes, not per frame.
+	var host string
+	touched := map[string]*tunnelConn{}
 	for {
-		batch = batch[:0]
 		var err error
-		batch, err = t.port.ReadBatch(batch, 64, 500*time.Millisecond)
+		batch, err = t.port.ReadBatch(batch[:0], 64, 500*time.Millisecond)
 		if err != nil {
 			return
 		}
-		touched := map[string]*tunnelConn{}
 		for _, raw := range batch {
-			host, inner, derr := switchfabric.DecapTunnel(raw)
-			if derr != nil || host == "" {
-				continue
-			}
-			// Chaos link impairment: drop or delay before the frame
-			// reaches TCP, exactly where a lossy physical link would.
-			if delay, drop := t.netem.Impair(t.host, host); drop {
-				continue
-			} else if delay > 0 {
-				select {
-				case <-t.closed:
+			to, inner, derr := switchfabric.DecapTunnel(raw)
+			if derr == nil && len(to) > 0 {
+				if string(to) != host {
+					host = string(to)
+				}
+				if !t.forward(host, inner, touched) {
 					return
-				case <-time.After(delay):
 				}
 			}
-			oc := t.connTo(host)
-			if oc == nil {
-				continue
-			}
-			binary.BigEndian.PutUint32(hdr[:], uint32(len(inner)))
-			if _, werr := oc.bw.Write(hdr[:]); werr != nil {
-				t.dropConn(host)
-				continue
-			}
-			if _, werr := oc.bw.Write(inner); werr != nil {
-				t.dropConn(host)
-				continue
-			}
-			touched[host] = oc
+			packet.PutFrameBuf(raw)
 		}
 		for host, oc := range touched {
 			if oc.bw.Flush() != nil {
 				t.dropConn(host)
 			}
 		}
+		clear(touched)
 	}
+}
+
+// forward writes one inner frame toward host, recording the connection in
+// touched for the batch's flush. A frame lost to chaos impairment, a missing
+// connection or a write error is dropped; forward reports false only when the
+// endpoint closed while the frame waited out an injected delay.
+func (t *tunnelEndpoint) forward(host string, inner []byte, touched map[string]*tunnelConn) bool {
+	// Chaos link impairment: drop or delay before the frame reaches TCP,
+	// exactly where a lossy physical link would.
+	if delay, drop := t.netem.Impair(t.host, host); drop {
+		return true
+	} else if delay > 0 {
+		select {
+		case <-t.closed:
+			return false
+		case <-time.After(delay):
+		}
+	}
+	oc := t.connTo(host)
+	if oc == nil {
+		return true
+	}
+	if writeTunnelFrame(oc.bw, inner) != nil {
+		t.dropConn(host)
+		return true
+	}
+	touched[host] = oc
+	return true
+}
+
+// writeTunnelFrame writes one frame in the tunnel's stream framing: a 4-byte
+// big-endian length, then the frame.
+func writeTunnelFrame(w io.Writer, frame []byte) error {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(frame)))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(frame)
+	return err
+}
+
+// readTunnelFrame reads the next frame of the tunnel's stream framing into a
+// pooled buffer (a frame longer than a pooled buffer gets one of its own).
+// A length of zero or above maxTunnelFrame is refused before anything is
+// allocated for it.
+func readTunnelFrame(r io.Reader) ([]byte, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	n := int(binary.BigEndian.Uint32(hdr[:]))
+	if n <= 0 || n > maxTunnelFrame {
+		return nil, fmt.Errorf("core: tunnel frame of %d bytes", n)
+	}
+	frame := packet.GetFrameBuf()
+	if n > cap(frame) {
+		packet.PutFrameBuf(frame)
+		frame = make([]byte, n)
+	}
+	frame = frame[:n]
+	if _, err := io.ReadFull(r, frame); err != nil {
+		packet.PutFrameBuf(frame)
+		return nil, err
+	}
+	return frame, nil
 }
 
 func (t *tunnelEndpoint) connTo(host string) *tunnelConn {
@@ -269,21 +322,15 @@ func (t *tunnelEndpoint) ingressLoop(c net.Conn) {
 		_ = c.Close()
 	}()
 	br := bufio.NewReaderSize(c, 128<<10)
-	var hdr [4]byte
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return
-		}
-		n := int(binary.BigEndian.Uint32(hdr[:]))
-		if n <= 0 || n > maxTunnelFrame {
-			return
-		}
-		frame := make([]byte, n)
-		if _, err := io.ReadFull(br, frame); err != nil {
+		frame, err := readTunnelFrame(br)
+		if err != nil {
 			return
 		}
 		// Bounded backpressure into the switch; an abandoned frame is the
-		// ring's one counted drop.
-		_ = t.port.WriteFrameTimeout(frame, switchfabric.WriteFrameWait)
+		// ring's one counted drop, and still ours to recycle.
+		if t.port.WriteFrameTimeout(frame, switchfabric.WriteFrameWait) != nil {
+			packet.PutFrameBuf(frame)
+		}
 	}
 }

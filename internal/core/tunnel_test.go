@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"net"
 	"testing"
@@ -103,4 +104,40 @@ func TestTunnelIngressOverflowCountsOneDrop(t *testing.T) {
 	if delta := dropped() - before; delta != 1 {
 		t.Fatalf("one abandoned tunnel frame counted %d ring drops, want 1", delta)
 	}
+}
+
+// FuzzTunnelFrame throws arbitrary byte streams at the tunnel's stream
+// framing. The reader must never panic, never hand out (or allocate for) a
+// frame above maxTunnelFrame, and every frame it returns must re-encode to
+// exactly the bytes it consumed.
+func FuzzTunnelFrame(f *testing.F) {
+	var two bytes.Buffer
+	_ = writeTunnelFrame(&two, []byte("first frame"))
+	_ = writeTunnelFrame(&two, bytes.Repeat([]byte{0xAB}, 9000)) // longer than a pooled buffer
+	f.Add(two.Bytes())
+	f.Add(two.Bytes()[:two.Len()-1])               // cut mid-frame
+	f.Add([]byte{0, 0, 0, 0})                      // zero length
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3}) // 4 GiB announced
+	f.Add(binary.BigEndian.AppendUint32(nil, maxTunnelFrame+1))
+	f.Add([]byte{0, 0})
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		r := bytes.NewReader(stream)
+		var again bytes.Buffer
+		for {
+			frame, err := readTunnelFrame(r)
+			if err != nil {
+				break
+			}
+			if len(frame) == 0 || len(frame) > maxTunnelFrame {
+				t.Fatalf("readTunnelFrame returned a %d-byte frame", len(frame))
+			}
+			if err := writeTunnelFrame(&again, frame); err != nil {
+				t.Fatal(err)
+			}
+			packet.PutFrameBuf(frame)
+		}
+		if !bytes.HasPrefix(stream, again.Bytes()) {
+			t.Fatalf("frames read re-encode to %x, not a prefix of the stream %x", again.Bytes(), stream)
+		}
+	})
 }

@@ -101,41 +101,87 @@ func appendHeader(buf []byte, dst, src Addr, flags byte) []byte {
 	return buf
 }
 
+// frameBody is the one walker of the frame header and trace annex, shared by
+// Decode, TupleCount and TupleRun. It checks the header, steps over the annex
+// of a traced frame (returned undecoded, its shape checked) and returns the
+// payload flavour with the payload bytes that follow.
+func frameBody(raw []byte) (kind byte, annex, body []byte, err error) {
+	if len(raw) < HeaderLen {
+		return 0, nil, nil, ErrShortFrame
+	}
+	if binary.BigEndian.Uint16(raw[12:14]) != EtherType {
+		return 0, nil, nil, ErrBadEtherType
+	}
+	flags := raw[14]
+	body = raw[HeaderLen:]
+	if flags&flagTraced != 0 {
+		if len(body) < 2 {
+			return 0, nil, nil, ErrCorruptFrame
+		}
+		n := int(binary.LittleEndian.Uint16(body))
+		if n > len(body)-2 {
+			return 0, nil, nil, ErrCorruptFrame
+		}
+		annex = body[2 : 2+n]
+		if _, ok := traceHopCount(annex); !ok {
+			return 0, nil, nil, ErrCorruptFrame
+		}
+		body = body[2+n:]
+	}
+	kind = flags & flagKindMask
+	if kind != flagTuples && kind != flagSegment {
+		return 0, nil, nil, fmt.Errorf("packet: unknown frame flags %#x", flags)
+	}
+	return kind, annex, body, nil
+}
+
+// NextTuple splits the first uint32-length-prefixed encoded tuple off a
+// multiplexed frame's payload. ok is false when the prefix is cut short or
+// overruns what is left of the run.
+func NextTuple(run []byte) (enc, rest []byte, ok bool) {
+	if len(run) < 4 {
+		return nil, nil, false
+	}
+	n := int(binary.LittleEndian.Uint32(run))
+	run = run[4:]
+	if n > len(run) {
+		return nil, nil, false
+	}
+	return run[:n], run[n:], true
+}
+
+// TupleRun returns the payload of a multiplexed frame — a run of encoded
+// tuples to walk with NextTuple — without building a Frame. The run aliases
+// raw. multiplexed is false for a segment frame, which belongs to a
+// Depacketizer. TupleRun fails where Decode fails on the header, the trace
+// annex or the flags; the run's length prefixes are the walk's to check.
+func TupleRun(raw []byte) (run []byte, multiplexed bool, err error) {
+	kind, _, body, err := frameBody(raw)
+	if err != nil || kind != flagTuples {
+		return nil, false, err
+	}
+	return body, true, nil
+}
+
 // TupleCount reports how many tuples a raw frame carries without decoding
 // any of them: a multiplexed frame is walked by its length prefixes, a
 // segment frame counts as 1 (one fragment of one tuple), and a trace annex
 // is skipped. Malformed frames report 0. The trace path uses it to record
 // one hop per batch frame annotated with the batch's population.
 func TupleCount(raw []byte) int {
-	if len(raw) < HeaderLen {
+	kind, _, body, err := frameBody(raw)
+	if err != nil {
 		return 0
 	}
-	flags := raw[14]
-	body := raw[HeaderLen:]
-	if flags&flagTraced != 0 {
-		if len(body) < 2 {
-			return 0
-		}
-		n := int(binary.LittleEndian.Uint16(body))
-		if n > len(body)-2 {
-			return 0
-		}
-		body = body[2+n:]
-	}
-	if flags&flagKindMask == flagSegment {
+	if kind == flagSegment {
 		return 1
 	}
 	count := 0
 	for len(body) > 0 {
-		if len(body) < 4 {
+		var ok bool
+		if _, body, ok = NextTuple(body); !ok {
 			return 0
 		}
-		n := int(binary.LittleEndian.Uint32(body))
-		body = body[4:]
-		if n > len(body) {
-			return 0
-		}
-		body = body[n:]
 		count++
 	}
 	return count
@@ -172,65 +218,44 @@ func Decode(raw []byte) (Frame, error) { return decodeInto(raw, nil) }
 // receive path (Depacketizer.Feed) avoids growing a fresh Tuples slice per
 // frame.
 func decodeInto(raw []byte, tuples [][]byte) (Frame, error) {
-	if len(raw) < HeaderLen {
-		return Frame{}, ErrShortFrame
+	kind, annex, body, err := frameBody(raw)
+	if err != nil {
+		return Frame{}, err
 	}
-	var f Frame
+	f := Frame{EtherType: EtherType}
 	copy(f.Dst[:], raw[0:6])
 	copy(f.Src[:], raw[6:12])
-	f.EtherType = binary.BigEndian.Uint16(raw[12:14])
-	if f.EtherType != EtherType {
-		return Frame{}, ErrBadEtherType
-	}
-	flags := raw[14]
-	body := raw[HeaderLen:]
-	if flags&flagTraced != 0 {
-		if len(body) < 2 {
-			return Frame{}, ErrCorruptFrame
-		}
-		n := int(binary.LittleEndian.Uint16(body))
-		if n > len(body)-2 {
-			return Frame{}, ErrCorruptFrame
-		}
-		annex, err := decodeTraceAnnex(body[2 : 2+n])
+	if annex != nil {
+		a, err := decodeTraceAnnex(annex)
 		if err != nil {
 			return Frame{}, ErrCorruptFrame
 		}
-		f.Trace = &annex
-		body = body[2+n:]
+		f.Trace = &a
 	}
-	switch flags & flagKindMask {
-	case flagTuples:
+	if kind == flagTuples {
 		f.Tuples = tuples
 		for len(body) > 0 {
-			if len(body) < 4 {
+			enc, rest, ok := NextTuple(body)
+			if !ok {
 				return Frame{}, ErrCorruptFrame
 			}
-			n := int(binary.LittleEndian.Uint32(body))
-			body = body[4:]
-			if n > len(body) {
-				return Frame{}, ErrCorruptFrame
-			}
-			f.Tuples = append(f.Tuples, body[:n])
-			body = body[n:]
+			f.Tuples = append(f.Tuples, enc)
+			body = rest
 		}
-	case flagSegment:
-		if len(body) < segHeaderLen {
-			return Frame{}, ErrCorruptFrame
-		}
-		seg := Segment{
-			ID:    binary.LittleEndian.Uint32(body),
-			Index: binary.LittleEndian.Uint16(body[4:]),
-			Count: binary.LittleEndian.Uint16(body[6:]),
-		}
-		n := int(binary.LittleEndian.Uint32(body[8:]))
-		if n != len(body)-segHeaderLen {
-			return Frame{}, ErrCorruptFrame
-		}
-		seg.Data = body[segHeaderLen:]
-		f.Segment = &seg
-	default:
-		return Frame{}, fmt.Errorf("packet: unknown frame flags %#x", flags)
+		return f, nil
 	}
+	if len(body) < segHeaderLen {
+		return Frame{}, ErrCorruptFrame
+	}
+	seg := Segment{
+		ID:    binary.LittleEndian.Uint32(body),
+		Index: binary.LittleEndian.Uint16(body[4:]),
+		Count: binary.LittleEndian.Uint16(body[6:]),
+	}
+	if n := int(binary.LittleEndian.Uint32(body[8:])); n != len(body)-segHeaderLen {
+		return Frame{}, ErrCorruptFrame
+	}
+	seg.Data = body[segHeaderLen:]
+	f.Segment = &seg
 	return f, nil
 }

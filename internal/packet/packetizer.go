@@ -93,6 +93,22 @@ func (p *Packetizer) Add(dst Addr, encoded []byte) [][]byte {
 		p.flushDst(dst)
 		return p.segment(dst, encoded)
 	}
+	st := p.stageFor(dst)
+	if st.payloadLen()+need > p.maxPayload {
+		p.flushDst(dst)
+	}
+	if st.buf == nil {
+		st.buf = appendHeader(GetFrameBuf(), dst, p.src, flagTuples)
+	}
+	st.buf = binary.LittleEndian.AppendUint32(st.buf, uint32(len(encoded)))
+	st.buf = append(st.buf, encoded...)
+	st.count++
+	return p.ready
+}
+
+// stageFor returns dst's stage, creating it on first use, and marks it live
+// for the idle-eviction clock.
+func (p *Packetizer) stageFor(dst Addr) *stage {
 	st := p.lastStage
 	if st == nil || p.lastDst != dst {
 		st = p.staged[dst]
@@ -103,14 +119,37 @@ func (p *Packetizer) Add(dst Addr, encoded []byte) [][]byte {
 		p.lastDst, p.lastStage = dst, st
 	}
 	st.lastUsed = p.flushGen
-	if st.payloadLen()+need > p.maxPayload {
-		p.flushDst(dst)
-	}
+	return st
+}
+
+// Reserve and Commit are Add for a caller that can encode where the bytes
+// leave: Reserve returns dst's staging frame extended by an empty 4-byte
+// length slot, the caller appends exactly one encoded tuple behind it, and
+// Commit patches the slot and counts the tuple, so the record is written
+// once instead of encoded elsewhere and copied in. The frame is not changed
+// until Commit: a Reserve that is never committed stages nothing.
+func (p *Packetizer) Reserve(dst Addr) []byte {
+	st := p.stageFor(dst)
 	if st.buf == nil {
 		st.buf = appendHeader(GetFrameBuf(), dst, p.src, flagTuples)
 	}
-	st.buf = binary.LittleEndian.AppendUint32(st.buf, uint32(len(encoded)))
-	st.buf = append(st.buf, encoded...)
+	return append(st.buf, 0, 0, 0, 0)
+}
+
+// Commit stages the record the caller appended to buf, the slice Reserve
+// returned for dst, and returns any frames that became ready, under Add's
+// contract. A record that overruns the payload budget is handed to Add from
+// where it lies — what was staged leaves first, then the record is restaged
+// or segmented — so the frames are the ones Add alone would have built.
+func (p *Packetizer) Commit(dst Addr, buf []byte) [][]byte {
+	st := p.stageFor(dst)
+	slot := len(st.buf)
+	if len(buf)-HeaderLen > p.maxPayload {
+		return p.Add(dst, buf[slot+4:])
+	}
+	p.ready = p.ready[:0]
+	binary.LittleEndian.PutUint32(buf[slot:], uint32(len(buf)-slot-4))
+	st.buf = buf
 	st.count++
 	return p.ready
 }
@@ -131,8 +170,8 @@ func (p *Packetizer) FlushAll() [][]byte {
 		}
 		if p.flushGen-st.lastUsed > stageIdleFlushes {
 			if st.buf != nil {
-				// Unreachable today (buf implies count > 0), but eviction
-				// must never strand a pooled buffer.
+				// A header-only buffer: Reserve built it and the record
+				// that followed was segmented or never committed.
 				PutFrameBuf(st.buf)
 			}
 			if st == p.lastStage {

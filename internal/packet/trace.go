@@ -127,15 +127,22 @@ func appendTraceAnnex(buf []byte, a TraceAnnex) []byte {
 	return buf
 }
 
-func decodeTraceAnnex(body []byte) (TraceAnnex, error) {
+// traceHopCount returns the hop count of a well-formed annex: the fixed part
+// followed by exactly the hops its count byte announces.
+func traceHopCount(body []byte) (n int, ok bool) {
 	if len(body) < traceFixedLen {
+		return 0, false
+	}
+	n = int(body[8])
+	return n, len(body) == traceFixedLen+n*traceHopEncLen
+}
+
+func decodeTraceAnnex(body []byte) (TraceAnnex, error) {
+	n, ok := traceHopCount(body)
+	if !ok {
 		return TraceAnnex{}, ErrBadTrace
 	}
 	a := TraceAnnex{ID: binary.LittleEndian.Uint64(body)}
-	n := int(body[8])
-	if len(body) != traceFixedLen+n*traceHopEncLen {
-		return TraceAnnex{}, ErrBadTrace
-	}
 	a.Hops = make([]TraceHop, n)
 	for i := 0; i < n; i++ {
 		off := traceFixedLen + i*traceHopEncLen
@@ -185,11 +192,11 @@ func AppendTraceHop(raw []byte, hop TraceHop) []byte {
 	if !ok {
 		return raw
 	}
-	count := int(raw[HeaderLen+2+8])
-	if count >= MaxTraceHops || n != traceFixedLen+count*traceHopEncLen {
+	annexEnd := HeaderLen + 2 + n
+	count, ok := traceHopCount(raw[HeaderLen+2 : annexEnd])
+	if !ok || count >= MaxTraceHops {
 		return raw
 	}
-	annexEnd := HeaderLen + 2 + n
 	buf := make([]byte, 0, len(raw)+traceHopEncLen)
 	buf = append(buf, raw[:annexEnd]...)
 	binary.LittleEndian.PutUint16(buf[HeaderLen:], uint16(n+traceHopEncLen))

@@ -3,6 +3,8 @@ package switchfabric
 import (
 	"encoding/binary"
 	"errors"
+
+	"typhoon/internal/packet"
 )
 
 // Tunnel encapsulation: frames leaving through a tunnel port are wrapped
@@ -15,23 +17,25 @@ import (
 // ErrBadEncap is returned for malformed tunnel encapsulation.
 var ErrBadEncap = errors.New("switchfabric: malformed tunnel encapsulation")
 
-// EncapTunnel wraps a frame with its tunnel destination host.
+// EncapTunnel wraps a frame with its tunnel destination host in a pooled
+// buffer, whose headroom covers a full frame plus the host name. The result
+// is uniquely owned: the tunnel endpoint recycles it once the inner frame is
+// on the wire.
 func EncapTunnel(host string, frame []byte) []byte {
-	out := make([]byte, 0, 2+len(host)+len(frame))
-	out = binary.BigEndian.AppendUint16(out, uint16(len(host)))
+	out := binary.BigEndian.AppendUint16(packet.GetFrameBuf(), uint16(len(host)))
 	out = append(out, host...)
 	return append(out, frame...)
 }
 
 // DecapTunnel splits an encapsulated frame into destination host and inner
-// frame. The returned frame aliases raw.
-func DecapTunnel(raw []byte) (host string, frame []byte, err error) {
+// frame. Both alias raw.
+func DecapTunnel(raw []byte) (host, frame []byte, err error) {
 	if len(raw) < 2 {
-		return "", nil, ErrBadEncap
+		return nil, nil, ErrBadEncap
 	}
 	n := int(binary.BigEndian.Uint16(raw))
 	if len(raw) < 2+n {
-		return "", nil, ErrBadEncap
+		return nil, nil, ErrBadEncap
 	}
-	return string(raw[2 : 2+n]), raw[2+n:], nil
+	return raw[2 : 2+n], raw[2+n:], nil
 }

@@ -419,7 +419,7 @@ func TestTunnelEncapOnOutput(t *testing.T) {
 	p1.WriteFrame(inner)
 	got := mustRead(t, tun)
 	host, decap, err := DecapTunnel(got)
-	if err != nil || host != "host-2" {
+	if err != nil || string(host) != "host-2" {
 		t.Fatalf("host=%q err=%v", host, err)
 	}
 	if string(decap) != string(inner) {
@@ -519,7 +519,7 @@ func TestEncapDecapErrors(t *testing.T) {
 		t.Fatalf("bad len: %v", err)
 	}
 	h, f, err := DecapTunnel(EncapTunnel("h", []byte("frame")))
-	if err != nil || h != "h" || string(f) != "frame" {
+	if err != nil || string(h) != "h" || string(f) != "frame" {
 		t.Fatal("round trip failed")
 	}
 }

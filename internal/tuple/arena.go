@@ -8,7 +8,9 @@ import "unsafe"
 // payloads — and the stock Decode pays one heap allocation for each.
 // The arena hands both out of large pre-allocated blocks instead, so a
 // receive loop decoding millions of tuples amortizes its allocations
-// down to one block every few thousand tuples.
+// down to one block every few thousand tuples. A Value is 24 bytes with one
+// pointer word (see its type comment), so a field costs 24 bytes of zeroed,
+// GC-scanned slab plus its payload bytes, copied once.
 //
 // Ownership of every handed-out region transfers to the decoded tuple:
 // the arena never recycles or rewrites memory it has given away, it only
@@ -38,48 +40,34 @@ const (
 // arena. The caller owns it; the arena will never touch those bytes again.
 func (a *Arena) grabBytes(n int) []byte {
 	if n > len(a.bytes) {
-		c := arenaByteChunk
-		if n > c {
-			c = n
-		}
-		a.bytes = make([]byte, c)
+		a.bytes = make([]byte, max(n, arenaByteChunk))
 	}
 	b := a.bytes[:n:n]
 	a.bytes = a.bytes[n:]
 	return b
 }
 
-// grabValues returns an empty Value slice with capacity n carved from the
-// arena. The full-slice expression caps it so an append past n can never
-// step on a later grab.
+// grabValues returns a zeroed n-value slice carved from the arena. The
+// full-slice expression caps it so an append can never step on a later grab.
 func (a *Arena) grabValues(n int) []Value {
 	if n > len(a.vals) {
-		c := arenaValueSlab
-		if n > c {
-			c = n
-		}
-		a.vals = make([]Value, c)
+		a.vals = make([]Value, max(n, arenaValueSlab))
 	}
-	v := a.vals[:0:n]
+	v := a.vals[:n:n]
 	a.vals = a.vals[n:]
 	return v
 }
 
-// internBytes copies src into arena storage and returns the copy.
-func (a *Arena) internBytes(src []byte) []byte {
+// intern copies src into arena storage and returns the address of the copy
+// (nil for an empty src) for a Value to hold as its one pointer word. The
+// bytes are written exactly once, by the copy here, and the arena has
+// relinquished them, so a string viewing them is as immutable as any other
+// — the strings.Builder technique.
+func (a *Arena) intern(src []byte) unsafe.Pointer {
+	if len(src) == 0 {
+		return nil
+	}
 	b := a.grabBytes(len(src))
 	copy(b, src)
-	return b
-}
-
-// internString copies src into arena storage and returns it as a string
-// without a second allocation. This is the strings.Builder technique: the
-// backing bytes are written exactly once (by the copy here) and the arena
-// has relinquished them, so the string is as immutable as any other.
-func (a *Arena) internString(src []byte) string {
-	if len(src) == 0 {
-		return ""
-	}
-	b := a.internBytes(src)
-	return unsafe.String(&b[0], len(b))
+	return unsafe.Pointer(unsafe.SliceData(b))
 }

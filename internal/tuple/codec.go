@@ -49,12 +49,9 @@ func AppendEncode(dst []byte, t Tuple) []byte {
 			}
 		case KindInt64, KindFloat64:
 			dst = binary.LittleEndian.AppendUint64(dst, v.num)
-		case KindString:
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v.str)))
-			dst = append(dst, v.str...)
-		case KindBytes:
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v.raw)))
-			dst = append(dst, v.raw...)
+		case KindString, KindBytes:
+			dst = binary.LittleEndian.AppendUint32(dst, v.n)
+			dst = append(dst, v.payload()...)
 		}
 	}
 	return dst
@@ -151,15 +148,13 @@ func DecodeInto(buf []byte, a *Arena) (Tuple, int, error) {
 	}
 	n := int(binary.LittleEndian.Uint16(buf[18:]))
 	off := 20
+	// Each value needs at least its kind byte, so the buffer bounds how many
+	// can decode before the loop runs out of bytes: a corrupt count cannot
+	// reserve 64 Ki values against a 30-byte frame, and i stays below
+	// len(vals) for as long as off is inside buf.
+	var vals []Value
 	if n > 0 {
-		// Cap the slab grab by what the buffer could possibly hold (each
-		// value needs at least its kind byte), so a corrupt count cannot
-		// reserve 64 Ki values against a 30-byte frame.
-		reserve := n
-		if max := len(buf) - off; reserve > max {
-			reserve = max
-		}
-		t.Values = a.grabValues(reserve)
+		vals = a.grabValues(min(n, len(buf)-off))
 	}
 	for i := 0; i < n; i++ {
 		if off >= len(buf) {
@@ -169,43 +164,31 @@ func DecodeInto(buf []byte, a *Arena) (Tuple, int, error) {
 		off++
 		switch kind {
 		case KindNil:
-			t.Values = append(t.Values, Nil())
+			vals[i] = Value{}
 		case KindBool:
 			if off+1 > len(buf) {
 				return Tuple{}, 0, ErrTruncated
 			}
-			t.Values = append(t.Values, Bool(buf[off] != 0))
+			vals[i] = Bool(buf[off] != 0)
 			off++
-		case KindInt64:
+		case KindInt64, KindFloat64:
 			if off+8 > len(buf) {
 				return Tuple{}, 0, ErrTruncated
 			}
-			t.Values = append(t.Values, Int(int64(binary.LittleEndian.Uint64(buf[off:]))))
+			vals[i] = Value{kind: kind, num: binary.LittleEndian.Uint64(buf[off:])}
 			off += 8
-		case KindFloat64:
-			if off+8 > len(buf) {
-				return Tuple{}, 0, ErrTruncated
-			}
-			t.Values = append(t.Values, Value{kind: KindFloat64, num: binary.LittleEndian.Uint64(buf[off:])})
-			off += 8
-		case KindString:
+		case KindString, KindBytes:
 			s, m, err := decodeBlob(buf[off:])
 			if err != nil {
 				return Tuple{}, 0, err
 			}
-			t.Values = append(t.Values, Value{kind: KindString, str: a.internString(s)})
-			off += m
-		case KindBytes:
-			s, m, err := decodeBlob(buf[off:])
-			if err != nil {
-				return Tuple{}, 0, err
-			}
-			t.Values = append(t.Values, Value{kind: KindBytes, raw: a.internBytes(s)})
+			vals[i] = Value{kind: kind, n: uint32(len(s)), ptr: a.intern(s)}
 			off += m
 		default:
 			return Tuple{}, 0, ErrBadKind
 		}
 	}
+	t.Values = vals
 	return t, off, nil
 }
 
@@ -259,10 +242,8 @@ func HashFields(t Tuple, fields []int) uint64 {
 		scratch[0] = byte(v.kind)
 		_, _ = h.Write(scratch[:1])
 		switch v.kind {
-		case KindString:
-			_, _ = h.Write([]byte(v.str))
-		case KindBytes:
-			_, _ = h.Write(v.raw)
+		case KindString, KindBytes:
+			_, _ = h.Write([]byte(v.payload()))
 		default:
 			binary.LittleEndian.PutUint64(scratch[:], v.num)
 			_, _ = h.Write(scratch[:])

@@ -15,6 +15,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // StreamID identifies a logical stream within a topology. Application
@@ -78,11 +79,49 @@ func (k Kind) String() string {
 }
 
 // Value is a single dynamically typed field of a Tuple.
+//
+// It is 24 bytes with exactly one pointer word, because a value holds at
+// most one payload: the first word packs the kind with a 32-bit payload
+// length, num carries the raw int64/float64/bool bits, and ptr addresses the
+// first byte of a string's or a byte slice's data (nil for every other kind
+// and for an empty payload that had no backing array). A decoded field is
+// therefore 24 bytes of slab the collector scans for one pointer, where a
+// {kind, num, string, []byte} struct would be 56 bytes with two.
+//
+// The 32-bit length is the wire format's own bound — string and bytes
+// payloads travel behind a uint32 length prefix — so String and Bytes refuse
+// a payload of 4 GiB or more up front rather than let the codec write a
+// truncated prefix for it.
+//
+// Ownership does not depend on the layout: String and Bytes keep a reference
+// to the caller's data without copying it, and the decoders copy payloads
+// into storage the tuple owns (see Arena).
+//
+// The zero-size func array keeps Value non-comparable: == on two Values
+// would compare payload pointers, not payloads. Use Equal.
 type Value struct {
+	_    [0]func()
 	kind Kind
-	num  uint64 // int64 bits, float64 bits, or bool
-	str  string // string payload
-	raw  []byte // bytes payload
+	n    uint32         // payload length in bytes (KindString, KindBytes)
+	num  uint64         // int64 bits, float64 bits, or bool
+	ptr  unsafe.Pointer // payload data (KindString, KindBytes)
+}
+
+// payloadLen returns n as the 32-bit length stored in a Value, refusing what
+// the codec's uint32 length prefix could not carry.
+func payloadLen(n int) uint32 {
+	if uint64(n) > math.MaxUint32 {
+		panicPayloadTooLarge(n)
+	}
+	return uint32(n)
+}
+
+// panicPayloadTooLarge is kept out of line so String and Bytes stay within
+// the inlining budget.
+//
+//go:noinline
+func panicPayloadTooLarge(n int) {
+	panic(fmt.Sprintf("tuple: %d-byte payload exceeds the 4 GiB limit of a value's uint32 length prefix", n))
 }
 
 // Int returns a Value holding an int64.
@@ -100,11 +139,18 @@ func Bool(v bool) Value {
 	return Value{kind: KindBool, num: n}
 }
 
-// String returns a Value holding a string.
-func String(v string) Value { return Value{kind: KindString, str: v} }
+// String returns a Value holding a string. It panics if v is 4 GiB or
+// longer.
+func String(v string) Value {
+	return Value{kind: KindString, n: payloadLen(len(v)), ptr: unsafe.Pointer(unsafe.StringData(v))}
+}
 
-// Bytes returns a Value holding a byte slice. The slice is not copied.
-func Bytes(v []byte) Value { return Value{kind: KindBytes, raw: v} }
+// Bytes returns a Value holding a byte slice. The slice is not copied; any
+// capacity beyond its length is not retained. It panics if v is 4 GiB or
+// longer.
+func Bytes(v []byte) Value {
+	return Value{kind: KindBytes, n: payloadLen(len(v)), ptr: unsafe.Pointer(unsafe.SliceData(v))}
+}
 
 // Nil returns the nil Value.
 func Nil() Value { return Value{kind: KindNil} }
@@ -112,36 +158,47 @@ func Nil() Value { return Value{kind: KindNil} }
 // Kind reports the dynamic type of the value.
 func (v Value) Kind() Kind { return v.kind }
 
-// AsInt returns the int64 payload; it is 0 for non-integer values.
+// AsInt returns the int64 payload. It does not check the kind: for a float
+// it is the IEEE 754 bit pattern, for a bool 0 or 1, and for nil, string and
+// bytes values 0.
 func (v Value) AsInt() int64 { return int64(v.num) }
 
-// AsFloat returns the float64 payload; it is 0 for non-float values.
+// AsFloat returns the float64 payload. It does not check the kind: an int
+// or bool is reinterpreted bit for bit (Int(1).AsFloat() is 5e-324, not 1),
+// and nil, string and bytes values read as 0.
 func (v Value) AsFloat() float64 { return math.Float64frombits(v.num) }
 
-// AsBool returns the bool payload; it is false for non-bool values.
+// AsBool returns the bool payload. It does not check the kind: any int or
+// float whose bits are not all zero reads as true, and nil, string and
+// bytes values as false.
 func (v Value) AsBool() bool { return v.num != 0 }
 
 // AsString returns the string payload; it is "" for non-string values.
-func (v Value) AsString() string { return v.str }
+func (v Value) AsString() string {
+	if v.kind != KindString {
+		return ""
+	}
+	return v.payload()
+}
 
-// AsBytes returns the bytes payload; it is nil for non-bytes values.
-func (v Value) AsBytes() []byte { return v.raw }
+// AsBytes returns the bytes payload; it is nil for non-bytes values. The
+// slice shares the value's storage and its capacity equals its length, so an
+// append never writes into memory the value's producer still owns.
+func (v Value) AsBytes() []byte {
+	if v.kind != KindBytes {
+		return nil
+	}
+	return unsafe.Slice((*byte)(v.ptr), v.n)
+}
+
+// payload views a string or bytes value's data as a string without copying
+// it; it is "" for every other kind. The view of a bytes value is only as
+// immutable as its slice, so it must not outlive the call that takes it.
+func (v Value) payload() string { return unsafe.String((*byte)(v.ptr), v.n) }
 
 // Equal reports deep equality of two values.
 func (v Value) Equal(o Value) bool {
-	if v.kind != o.kind {
-		return false
-	}
-	switch v.kind {
-	case KindNil:
-		return true
-	case KindString:
-		return v.str == o.str
-	case KindBytes:
-		return string(v.raw) == string(o.raw)
-	default:
-		return v.num == o.num
-	}
+	return v.kind == o.kind && v.num == o.num && v.payload() == o.payload()
 }
 
 // GoString renders the value for debugging.
@@ -158,9 +215,9 @@ func (v Value) String() string {
 	case KindBool:
 		return strconv.FormatBool(v.AsBool())
 	case KindString:
-		return strconv.Quote(v.str)
+		return strconv.Quote(v.AsString())
 	case KindBytes:
-		return fmt.Sprintf("bytes[%d]", len(v.raw))
+		return fmt.Sprintf("bytes[%d]", v.n)
 	default:
 		return "invalid"
 	}
@@ -176,10 +233,8 @@ func (v Value) encodedSize() int {
 		return 1
 	case KindInt64, KindFloat64:
 		return 8
-	case KindString:
-		return 4 + len(v.str)
-	case KindBytes:
-		return 4 + len(v.raw)
+	case KindString, KindBytes:
+		return 4 + int(v.n)
 	default:
 		return 0
 	}

@@ -30,10 +30,9 @@ type SDNTransport struct {
 	batch      atomic.Int64
 	sinceFlush int
 
-	// encScratch and rxBatch are per-transport reusable buffers for the
-	// zero-alloc fast path. Send/Recv run on the worker goroutine only.
-	encScratch []byte
-	rxBatch    [][]byte
+	// rxBatch is Recv's reusable frame batch. Send/Recv run on the worker
+	// goroutine only.
+	rxBatch [][]byte
 
 	// arena supplies the receive path's tuple storage (values + string
 	// bytes); ownership of decoded regions transfers to the tuples, so
@@ -114,24 +113,16 @@ func NewSDNTransport(app uint16, self topology.WorkerID, port *switchfabric.Port
 // Addr returns this worker's data-plane address.
 func (t *SDNTransport) Addr() packet.Addr { return packet.WorkerAddr(t.app, uint32(t.self)) }
 
-// Send implements Transport. The tuple is serialized exactly once; unicast
-// fan-out reuses the encoded bytes per destination frame, and broadcast
-// emits a single frame the switch replicates.
+// Send implements Transport. The tuple is serialized exactly once, straight
+// into the staging frame it leaves in; unicast fan-out copies the encoded
+// bytes into the other destinations' frames, and broadcast emits a single
+// frame the switch replicates.
 func (t *SDNTransport) Send(d Destination, in tuple.Tuple) error {
-	// The packetizer copies enc into its staging buffer, so the encode
-	// scratch is safe to reuse on the next Send.
-	t.encScratch = tuple.AppendEncode(t.encScratch[:0], in)
-	enc := t.encScratch
-	t.nSerialized++
 	switch {
 	case d.Broadcast, d.SDNBalanced:
-		t.nSent++
-		t.writeFrames(t.pktz.Add(packet.Broadcast, enc))
-	default:
-		for _, id := range d.Workers {
-			t.nSent++
-			t.writeFrames(t.pktz.Add(packet.WorkerAddr(t.app, uint32(id)), enc))
-		}
+		t.stage(packet.Broadcast, nil, in)
+	case len(d.Workers) > 0:
+		t.stage(packet.WorkerAddr(t.app, uint32(d.Workers[0])), d.Workers[1:], in)
 	}
 	t.sinceFlush++
 	if int64(t.sinceFlush) >= t.batch.Load() {
@@ -140,15 +131,29 @@ func (t *SDNTransport) Send(d Destination, in tuple.Tuple) error {
 	return nil
 }
 
+// stage encodes in behind a reserved length slot in first's staging frame —
+// the one serialization — copies the record from there into the frames of
+// the other destinations, and commits it. The copies go first because the
+// record is only certain to stay where it was encoded until Commit, which
+// hands the frame off when the record overran it.
+func (t *SDNTransport) stage(first packet.Addr, others []topology.WorkerID, in tuple.Tuple) {
+	buf := t.pktz.Reserve(first)
+	slot := len(buf)
+	buf = tuple.AppendEncode(buf, in)
+	t.nSerialized++
+	for _, id := range others {
+		t.nSent++
+		t.writeFrames(t.pktz.Add(packet.WorkerAddr(t.app, uint32(id)), buf[slot:]))
+	}
+	t.nSent++
+	t.writeFrames(t.pktz.Commit(first, buf))
+}
+
 // SendControl implements Transport: the tuple is addressed to the
 // controller pseudo-address and flushed immediately (statistics replies
 // should not sit in a batch).
 func (t *SDNTransport) SendControl(in tuple.Tuple) error {
-	t.encScratch = tuple.AppendEncode(t.encScratch[:0], in)
-	enc := t.encScratch
-	t.nSerialized++
-	t.nSent++
-	t.writeFrames(t.pktz.Add(packet.ControllerAddr, enc))
+	t.stage(packet.ControllerAddr, nil, in)
 	return t.Flush()
 }
 
@@ -196,12 +201,12 @@ func (t *SDNTransport) writeFrames(frames [][]byte) {
 	}
 }
 
-// Recv implements Transport: frames are read from the switch in batches,
-// depacketized, and deserialized into tuples through the transport's arena
-// (~0 allocations per tuple in steady state). The returned slice is a window
-// into the transport's reusable decode buffer and is only valid until the
-// next Recv call; the tuples themselves own their storage and may be
-// retained indefinitely.
+// Recv implements Transport: frames are read from the switch in batches and
+// each is decoded where it lies, in one pass from frame bytes to tuples
+// through the transport's arena (~0 allocations per tuple in steady state).
+// The returned slice is a window into the transport's reusable decode buffer
+// and is only valid until the next Recv call; the tuples themselves own
+// their storage and may be retained indefinitely.
 func (t *SDNTransport) Recv(max int, wait time.Duration) ([]tuple.Tuple, error) {
 	if max <= 0 {
 		max = 256
@@ -223,23 +228,10 @@ func (t *SDNTransport) Recv(max int, wait time.Duration) ([]tuple.Tuple, error) 
 					t.sink(annex)
 				}
 			}
-			ins, err := t.dpktz.Feed(fr)
-			if err != nil {
-				t.dropped.Add(1)
-				packet.PutFrameBuf(fr)
-				continue
-			}
-			for _, in := range ins {
-				tp, _, err := tuple.DecodeInto(in.Data, &t.arena)
-				if err != nil {
-					t.dropped.Add(1)
-					continue
-				}
-				t.inBuf = append(t.inBuf, tp)
-			}
+			t.decodeFrame(fr)
 			// The unique-ownership protocol makes this transport the sole
-			// owner of every frame it dequeues, and DecodeInto copied all
-			// values into the arena, so the buffer can re-enter the pool.
+			// owner of every frame it dequeues, and decoding copied every
+			// payload into the arena, so the buffer can re-enter the pool.
 			packet.PutFrameBuf(fr)
 		}
 		t.inQueue = t.inBuf
@@ -257,6 +249,56 @@ func (t *SDNTransport) Recv(max int, wait time.Duration) ([]tuple.Tuple, error) 
 	t.inLen.Store(int64(len(t.inQueue)))
 	t.tuplesReceived.Add(uint64(n))
 	return out, nil
+}
+
+// decodeFrame appends the tuples fr carries to inBuf. A multiplexed frame is
+// walked once, each record decoded off the frame as its length prefix is
+// read; a segment frame goes through the depacketizer, which owns
+// reassembly. A record that fails to decode costs that tuple and one drop;
+// a frame whose header or prefixes do not parse delivers nothing and costs
+// one drop, whatever decoded before the fault was found.
+func (t *SDNTransport) decodeFrame(fr []byte) {
+	run, multiplexed, err := packet.TupleRun(fr)
+	if err != nil {
+		t.dropped.Add(1)
+		return
+	}
+	if !multiplexed {
+		ins, err := t.dpktz.Feed(fr)
+		if err != nil {
+			t.dropped.Add(1)
+			return
+		}
+		for _, in := range ins {
+			tp, _, err := tuple.DecodeInto(in.Data, &t.arena)
+			if err != nil {
+				t.dropped.Add(1)
+				continue
+			}
+			t.inBuf = append(t.inBuf, tp)
+		}
+		return
+	}
+	// Tuples gather in out and reach inBuf only when the whole run has
+	// parsed, so a frame that turns out unparsable delivers nothing.
+	out, bad := t.inBuf, uint64(0)
+	for len(run) > 0 {
+		enc, rest, ok := packet.NextTuple(run)
+		if !ok {
+			t.dropped.Add(1)
+			return
+		}
+		if tp, _, err := tuple.DecodeInto(enc, &t.arena); err != nil {
+			bad++
+		} else {
+			out = append(out, tp)
+		}
+		run = rest
+	}
+	t.inBuf = out
+	if bad > 0 {
+		t.dropped.Add(bad)
+	}
 }
 
 // Reconfigure implements Transport: BATCH_SIZE tuples adjust the egress

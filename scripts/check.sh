@@ -33,8 +33,15 @@ per_tuple='time\.Now|time\.Since|\.Lock\(\)|select \{'
 no_per_tuple internal/worker/worker.go 'w \*Worker' execute "$per_tuple"
 no_per_tuple internal/worker/worker.go 'w \*Worker' dispatch "$per_tuple"
 no_per_tuple internal/worker/sdntransport.go 't \*SDNTransport' Send "$per_tuple"
+no_per_tuple internal/worker/sdntransport.go 't \*SDNTransport' Recv "$per_tuple"
 no_per_tuple internal/worker/router.go 'r \*Router' routeInto "$per_tuple"
 no_per_tuple internal/worker/worker.go 'w \*Worker' EmitOn '\.Lock\(\)|select \{'
+# A tuple is encoded where it leaves and decoded where it lies: no encode
+# scratch and no buffer made between a tuple and its frame, in either
+# direction (stage and decodeFrame are Send's and Recv's per-tuple halves).
+for fn in Send stage Recv decodeFrame; do
+	no_per_tuple internal/worker/sdntransport.go 't \*SDNTransport' "$fn" 'make\(|encScratch'
+done
 # One place computes a latency percentile: metrics.Histogram.Quantile
 # (bench/ is benchmark-owned and keeps its own).
 if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
@@ -72,6 +79,10 @@ go test -race ./...
 go test -fuzz '^FuzzDecode$' -fuzztime 5s -run '^FuzzDecode$' ./internal/openflow/
 go test -fuzz '^FuzzDecode$' -fuzztime 5s -run '^FuzzDecode$' ./internal/packet/
 go test -fuzz '^FuzzDecodeBatch$' -fuzztime 5s -run '^FuzzDecodeBatch$' ./internal/tuple/
+# The receive path's one-pass frame walk against packet.Decode + tuple.Decode.
+go test -fuzz '^FuzzFrameToTuples$' -fuzztime 5s -run '^FuzzFrameToTuples$' ./internal/worker/
+# The tunnel's length-prefixed stream framing.
+go test -fuzz '^FuzzTunnelFrame$' -fuzztime 5s -run '^FuzzTunnelFrame$' ./internal/core/
 go test -fuzz '^FuzzDecodeControl$' -fuzztime 5s -run '^FuzzDecodeControl$' ./internal/control/
 # The one JSON body /api/v1 takes off the socket besides chaos specs.
 go test -fuzz '^FuzzParseSpec$' -fuzztime 5s -run '^FuzzParseSpec$' ./internal/scenario/
