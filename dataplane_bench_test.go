@@ -55,17 +55,11 @@ func drainPort(p *switchfabric.Port, stop <-chan struct{}, done chan<- struct{})
 // returns the steady-state forwarding rate plus the pipeline's allocations
 // per frame (measured across all goroutines from first write to last
 // delivery). rules controls flow-table pressure: the matching rule hides
-// behind rules-1 higher-priority decoys in a separate sub-table, so the
-// uncached path pays the full staged-classifier lookup per frame while the
-// flow caches skip straight to the rule. disableCache turns off both the
-// microflow and megaflow caches.
-func runSwitchForward(n, rules int, disableCache bool) (fps, allocsPerOp float64) {
-	opts := []switchfabric.Option{switchfabric.Options{RingCapacity: 8192}}
-	if disableCache {
-		opts = append(opts, switchfabric.WithoutMicroflowCache(),
-			switchfabric.WithoutMegaflowCache())
-	}
-	sw := switchfabric.New("bench", 1, opts...)
+// behind rules-1 higher-priority decoys in a separate sub-table, which the
+// one staged-classifier lookup on the microflow miss probes and every
+// cached frame after it skips.
+func runSwitchForward(n, rules int) (fps, allocsPerOp float64) {
+	sw := switchfabric.New("bench", 1, switchfabric.Options{RingCapacity: 8192})
 	sw.Start()
 	defer sw.Stop()
 	a1, a2 := packet.WorkerAddr(1, 1), packet.WorkerAddr(1, 2)
@@ -124,100 +118,15 @@ func runSwitchForward(n, rules int, disableCache bool) (fps, allocsPerOp float64
 }
 
 // BenchmarkSwitchForward measures the switch hot path across flow-table
-// sizes, with and without the flow caches. The rule counts trace the
-// forwarding curve: with the staged classifier the cached figures stay
-// flat from 1 rule to 10k.
+// sizes. The rule counts trace the forwarding curve: with the staged
+// classifier behind the microflow cache it stays flat from 1 rule to 10k.
 func BenchmarkSwitchForward(b *testing.B) {
 	for _, rules := range []int{1, 64, 1000, 10000} {
-		for _, cached := range []bool{true, false} {
-			mode := "cached"
-			if !cached {
-				mode = "uncached"
-			}
-			b.Run(fmt.Sprintf("rules=%d/%s", rules, mode), func(b *testing.B) {
-				fps, allocs := runSwitchForward(b.N, rules, !cached)
-				b.ReportMetric(fps, "frames/s")
-				b.ReportMetric(allocs, "allocs/frame")
-			})
-		}
-	}
-}
-
-// runSwitchScatter drives n frames from srcs rotating source addresses at
-// one destination-only rule hidden among decoy destinations. Every frame
-// misses the exact-match microflow cache (its key includes the source), so
-// after the single upcall installs the dst-masked megaflow entry, the
-// megaflow cache answers the whole scatter. Returns the forwarding rate,
-// allocations per frame, and the switch counters.
-func runSwitchScatter(n, srcs, rules int) (fps, allocsPerOp float64, cnt switchfabric.Counters) {
-	sw := switchfabric.New("bench", 1, switchfabric.Options{RingCapacity: 8192})
-	sw.Start()
-	defer sw.Stop()
-	a1, a2 := packet.WorkerAddr(1, 1), packet.WorkerAddr(1, 2)
-	p1, _ := sw.AddPort("w1", a1)
-	p2, _ := sw.AddPort("w2", a2)
-	for i := 0; i < rules-1; i++ {
-		_ = sw.ApplyFlowMod(openflow.FlowMod{
-			Command: openflow.FlowAdd, Priority: 100,
-			Match: openflow.Match{
-				Fields: openflow.FieldDlDst,
-				DlDst:  packet.WorkerAddr(7, uint32(1000+i)),
-			},
-			Actions: []openflow.Action{openflow.Output(p2.No())},
+		b.Run(fmt.Sprintf("rules=%d", rules), func(b *testing.B) {
+			fps, allocs := runSwitchForward(b.N, rules)
+			b.ReportMetric(fps, "frames/s")
+			b.ReportMetric(allocs, "allocs/frame")
 		})
-	}
-	_ = sw.ApplyFlowMod(openflow.FlowMod{
-		Command: openflow.FlowAdd, Priority: 100,
-		Match:   openflow.Match{Fields: openflow.FieldDlDst, DlDst: a2},
-		Actions: []openflow.Action{openflow.Output(p2.No())},
-	})
-	// Prebuilt frame pool, one per distinct source; exact-cap buffers are
-	// rejected by the frame pool's capacity gate, so rewriting them is safe.
-	enc := tuple.Encode(tuple.New(tuple.Int(1)))
-	frames := make([][]byte, srcs)
-	for i := range frames {
-		frames[i] = packet.EncodeTuples(a2, packet.WorkerAddr(9, uint32(i+1)), [][]byte{enc})
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{}, 1)
-	go drainPort(p2, stop, done)
-	processed := func() uint64 {
-		for _, ps := range sw.PortStatsSnapshot() {
-			if ps.PortNo == p1.No() {
-				return ps.RxPackets
-			}
-		}
-		return 0
-	}
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	t0 := time.Now()
-	for i := 0; i < n; i++ {
-		for !p1.WriteFrame(frames[i%srcs]) {
-			time.Sleep(10 * time.Microsecond)
-		}
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for processed() < uint64(n) && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	elapsed := time.Since(t0)
-	runtime.ReadMemStats(&ms1)
-	close(stop)
-	<-done
-	return float64(n) / elapsed.Seconds(),
-		float64(ms1.Mallocs-ms0.Mallocs) / float64(n),
-		sw.CountersSnapshot()
-}
-
-// BenchmarkSwitchScatter measures the megaflow hit path: 4096 rotating
-// sources against one destination-only rule among 64.
-func BenchmarkSwitchScatter(b *testing.B) {
-	fps, allocs, cnt := runSwitchScatter(b.N, 4096, 64)
-	b.ReportMetric(fps, "frames/s")
-	b.ReportMetric(allocs, "allocs/frame")
-	if cnt.MegaflowHits+cnt.MegaflowMisses > 0 {
-		b.ReportMetric(float64(cnt.MegaflowHits)/float64(cnt.MegaflowHits+cnt.MegaflowMisses), "megaflow-hit-rate")
 	}
 }
 
@@ -472,30 +381,9 @@ func TestSwitchForwardAllocRegression(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("benchmark-backed guard; the race runtime allocates")
 	}
-	_, allocs := runSwitchForward(300_000, 16, false)
+	_, allocs := runSwitchForward(300_000, 16)
 	if allocs > 0.05 {
 		t.Fatalf("switch forward path allocates %.3f/frame, want ~0", allocs)
-	}
-}
-
-// TestMegaflowHitAllocRegression guards the megaflow hit path: a scatter of
-// 4096 sources misses the microflow cache on every frame, and the
-// wildcarded lookup that answers instead must both stay allocation-free
-// and actually be the layer answering (hit rate, upcall count).
-func TestMegaflowHitAllocRegression(t *testing.T) {
-	if testing.Short() || raceEnabled {
-		t.Skip("benchmark-backed guard; the race runtime allocates")
-	}
-	const n = 300_000
-	_, allocs, cnt := runSwitchScatter(n, 4096, 64)
-	if allocs > 0.05 {
-		t.Fatalf("megaflow hit path allocates %.3f/frame, want ~0", allocs)
-	}
-	if cnt.MegaflowHits < uint64(n)*95/100 {
-		t.Fatalf("megaflow hits = %d of %d frames; the scatter is not being absorbed", cnt.MegaflowHits, n)
-	}
-	if cnt.Upcalls > uint64(n)/100 {
-		t.Fatalf("upcalls = %d, want ~1 (megaflow entry should end them)", cnt.Upcalls)
 	}
 }
 
@@ -508,8 +396,8 @@ func TestRuleScaleForwardRegression(t *testing.T) {
 		t.Skip("benchmark-backed guard")
 	}
 	const n = 200_000
-	fps1, _ := runSwitchForward(n, 1, false)
-	fps10k, _ := runSwitchForward(n, 10_000, false)
+	fps1, _ := runSwitchForward(n, 1)
+	fps10k, _ := runSwitchForward(n, 10_000)
 	if fps10k <= 0 || fps1/fps10k > 1.5 {
 		t.Fatalf("cached forwarding at 10k rules is %.0f fps vs %.0f at 1 rule (%.2fx slowdown, want <= 1.5x)",
 			fps10k, fps1, fps1/fps10k)
@@ -528,11 +416,7 @@ func BenchmarkDataplane(b *testing.B) {
 	type report struct {
 		SwitchForwardFPS map[string]float64 `json:"switchForwardFramesPerSec"`
 		SwitchAllocs     float64            `json:"switchForwardAllocsPerFrame"`
-		CachedSpeedup64  float64            `json:"cachedSpeedupAt64Rules"`
 		RuleScale1to10k  float64            `json:"cachedRuleScale1to10k"`
-		MegaflowFPS      float64            `json:"megaflowScatterFramesPerSec"`
-		MegaflowAllocs   float64            `json:"megaflowScatterAllocsPerFrame"`
-		MegaflowHitRate  float64            `json:"megaflowScatterHitRate"`
 		BroadcastDPS     map[string]float64 `json:"broadcastDeliveriesPerSec"`
 		TupleCodec       codecStat          `json:"tupleEncodeDecode"`
 		Packetizer       codecStat          `json:"packetizer"`
@@ -549,35 +433,15 @@ func BenchmarkDataplane(b *testing.B) {
 			EmitRecvSweepTPS: map[string]float64{},
 			EmitRecvSweepAll: map[string]float64{},
 		}
-		const swOps = 300_000
-		for _, cse := range []struct {
-			key          string
-			rules        int
-			disableCache bool
-		}{
-			{"rules=1/cached", 1, false},
-			{"rules=64/cached", 64, false},
-			{"rules=64/uncached", 64, true},
-			{"rules=1000/cached", 1000, false},
-			{"rules=10000/cached", 10000, false},
-			{"rules=10000/uncached", 10000, true},
-		} {
-			fps, allocs := runSwitchForward(swOps, cse.rules, cse.disableCache)
-			rep.SwitchForwardFPS[cse.key] = fps
-			if cse.key == "rules=64/cached" {
+		for _, rules := range []int{1, 64, 1000, 10000} {
+			fps, allocs := runSwitchForward(300_000, rules)
+			rep.SwitchForwardFPS[fmt.Sprintf("rules=%d", rules)] = fps
+			if rules == 64 {
 				rep.SwitchAllocs = allocs
 			}
 		}
-		if un := rep.SwitchForwardFPS["rules=64/uncached"]; un > 0 {
-			rep.CachedSpeedup64 = rep.SwitchForwardFPS["rules=64/cached"] / un
-		}
-		if at10k := rep.SwitchForwardFPS["rules=10000/cached"]; at10k > 0 {
-			rep.RuleScale1to10k = rep.SwitchForwardFPS["rules=1/cached"] / at10k
-		}
-		mfps, mallocs, mcnt := runSwitchScatter(swOps, 4096, 64)
-		rep.MegaflowFPS, rep.MegaflowAllocs = mfps, mallocs
-		if probes := mcnt.MegaflowHits + mcnt.MegaflowMisses; probes > 0 {
-			rep.MegaflowHitRate = float64(mcnt.MegaflowHits) / float64(probes)
+		if at10k := rep.SwitchForwardFPS["rules=10000"]; at10k > 0 {
+			rep.RuleScale1to10k = rep.SwitchForwardFPS["rules=1"] / at10k
 		}
 		for _, fanout := range []int{1, 4, 16} {
 			_, dps := runBroadcastFanout(200_000, fanout)
@@ -602,7 +466,7 @@ func BenchmarkDataplane(b *testing.B) {
 			rep.EmitRecvSweepAll[key] = allocs
 		}
 	}
-	b.ReportMetric(rep.CachedSpeedup64, "cached-speedup")
+	b.ReportMetric(rep.RuleScale1to10k, "rule-scale-1-to-10k")
 	b.ReportMetric(rep.EmitRecvTPS, "emitrecv-tuples/s")
 	b.ReportMetric(rep.EmitRecvAllocs, "emitrecv-allocs/tuple")
 	if path := os.Getenv("BENCH_JSON"); path != "" {

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -127,6 +128,7 @@ func TestSpecValidate(t *testing.T) {
 		{Kind: KindHeal, Host: "h1"},
 		{Kind: KindNetem, Host: "h1", Peer: "h2", DropRate: 1.5},
 		{Kind: KindNetem, Host: "h1", Peer: "h2", DropRate: -0.1},
+		{Kind: KindNetem, Host: "h1", Peer: "h2", DropRate: math.NaN()},
 		{Kind: KindWipeFlows},
 		{Kind: KindPortDown, Topo: "t"},
 		{Kind: KindWorkerCrash, Worker: 1},

@@ -87,7 +87,8 @@ func (s Spec) Validate() error {
 		if s.Host == s.Peer {
 			return fmt.Errorf("chaos: %s host and peer must differ", s.Kind)
 		}
-		if s.Kind == KindNetem && (s.DropRate < 0 || s.DropRate > 1) {
+		// Written so NaN, which fails every comparison, is rejected too.
+		if s.Kind == KindNetem && !(s.DropRate >= 0 && s.DropRate <= 1) {
 			return fmt.Errorf("chaos: netem drop rate %v outside [0,1]", s.DropRate)
 		}
 	case KindHeal:

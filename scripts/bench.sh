@@ -2,10 +2,9 @@
 # Benchmark artifacts for CI:
 #   BENCH_rescale.json   — managed stable rescale end to end (pause time +
 #                          throughput dip across the rescale).
-#   BENCH_dataplane.json — data-plane fast path (flow-cache speedup, the
-#                          1/64/1k/10k-rule forwarding curve, megaflow
-#                          scatter hit rate, broadcast fan-out, codec and
-#                          emit→recv allocs).
+#   BENCH_dataplane.json — data-plane fast path (the 1/64/1k/10k-rule
+#                          forwarding curve through the microflow cache,
+#                          broadcast fan-out, codec and emit→recv allocs).
 #   BENCH_failover.json  — replicated control-plane failover (detection
 #                          latency, rules reconciled, frames dropped —
 #                          target 0).

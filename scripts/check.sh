@@ -36,6 +36,13 @@ no_per_tuple internal/worker/sdntransport.go 't \*SDNTransport' Send "$per_tuple
 no_per_tuple internal/worker/sdntransport.go 't \*SDNTransport' Recv "$per_tuple"
 no_per_tuple internal/worker/router.go 'r \*Router' routeInto "$per_tuple"
 no_per_tuple internal/worker/worker.go 'w \*Worker' EmitOn '\.Lock\(\)|select \{'
+no_per_tuple internal/switchfabric/switch.go 's \*Switch' processBatch "$per_tuple"
+# One flow cache, one way to configure the switch.
+if grep -inE 'megaflow|Disable[A-Za-z]*Cache|Without[A-Za-z]*Cache|optionFunc' \
+	$(ls internal/switchfabric/*.go | grep -v '_test\.go$'); then
+	echo "internal/switchfabric grew a second flow cache or option idiom (see above)" >&2
+	exit 1
+fi
 # A tuple is encoded where it leaves and decoded where it lies: no encode
 # scratch and no buffer made between a tuple and its frame, in either
 # direction (stage and decodeFrame are Send's and Recv's per-tuple halves).
@@ -84,5 +91,7 @@ go test -fuzz '^FuzzFrameToTuples$' -fuzztime 5s -run '^FuzzFrameToTuples$' ./in
 # The tunnel's length-prefixed stream framing.
 go test -fuzz '^FuzzTunnelFrame$' -fuzztime 5s -run '^FuzzTunnelFrame$' ./internal/core/
 go test -fuzz '^FuzzDecodeControl$' -fuzztime 5s -run '^FuzzDecodeControl$' ./internal/control/
-# The one JSON body /api/v1 takes off the socket besides chaos specs.
+# The JSON bodies /api/v1 takes off the socket: scenario specs, and chaos
+# specs (a plan's events are the same Spec, decoded and validated alike).
 go test -fuzz '^FuzzParseSpec$' -fuzztime 5s -run '^FuzzParseSpec$' ./internal/scenario/
+go test -fuzz '^FuzzDecodePlan$' -fuzztime 5s -run '^FuzzDecodePlan$' ./internal/chaos/
