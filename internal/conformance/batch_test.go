@@ -103,6 +103,35 @@ func TestConformanceFlushDeadline(t *testing.T) {
 	}
 }
 
+// TestConformanceFlushBeforeWait: with the threshold out of reach and the
+// deadline at an hour, nothing bounds staging by time, so what carries the
+// strict stream is the worker loop's flush before every wait — in both data
+// planes, since the Storm baseline runs the same loop.
+func TestConformanceFlushBeforeWait(t *testing.T) {
+	for _, m := range []struct {
+		name string
+		mode core.Mode
+	}{
+		{"typhoon", core.ModeTyphoon},
+		{"storm", core.ModeStorm},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			p := &Params{
+				Keys: 8, PerKey: 50, Window: 10, Seed: 31,
+				ThrottleEvery: 8, ThrottleDelay: 2 * time.Millisecond,
+			}
+			c, rec := newBatchHarness(t, p, m.mode, 100_000, time.Hour)
+			if err := c.Submit(buildTopo(t, "conf-flushwait-"+m.name, 2), 15*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			waitCond(t, 30*time.Second, "stream completion on flush-before-wait", rec.Complete)
+			if bad := rec.Check(); len(bad) != 0 {
+				t.Fatalf("%d conformance findings (first: %v)", len(bad), bad[0])
+			}
+		})
+	}
+}
+
 // TestConformanceFlushDeadlineRetuneAPI drives the live retune end to end on
 // a cluster started with the deadline disabled and the threshold out of
 // reach: POST /api/v1/batch?deadline=2ms must reach every running worker's

@@ -170,12 +170,6 @@ func (t *TCPTransport) Recv(max int, wait time.Duration) ([]tuple.Tuple, error) 
 		max = 64
 	}
 	var out []tuple.Tuple
-	var timeout <-chan time.Time
-	if wait > 0 {
-		timer := time.NewTimer(wait)
-		defer timer.Stop()
-		timeout = timer.C
-	}
 	select {
 	case tp := <-t.inbox:
 		out = append(out, tp)
@@ -185,12 +179,15 @@ func (t *TCPTransport) Recv(max int, wait time.Duration) ([]tuple.Tuple, error) 
 		if wait <= 0 {
 			return nil, nil
 		}
+		// The timer is armed only once the inbox has come up empty.
+		timer := time.NewTimer(wait)
+		defer timer.Stop()
 		select {
 		case tp := <-t.inbox:
 			out = append(out, tp)
 		case <-t.closed:
 			return nil, errClosed
-		case <-timeout:
+		case <-timer.C:
 			return nil, nil
 		}
 	}

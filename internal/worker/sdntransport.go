@@ -27,6 +27,8 @@ type SDNTransport struct {
 	pktz  *packet.Packetizer
 	dpktz *packet.Depacketizer
 
+	// batch is the flush threshold; sinceFlush counts the tuples staged
+	// since the last Flush, and zero means the packetizer holds nothing.
 	batch      atomic.Int64
 	sinceFlush int
 
@@ -124,7 +126,6 @@ func (t *SDNTransport) Send(d Destination, in tuple.Tuple) error {
 	case len(d.Workers) > 0:
 		t.stage(packet.WorkerAddr(t.app, uint32(d.Workers[0])), d.Workers[1:], in)
 	}
-	t.sinceFlush++
 	if int64(t.sinceFlush) >= t.batch.Load() {
 		return t.Flush()
 	}
@@ -146,6 +147,7 @@ func (t *SDNTransport) stage(first packet.Addr, others []topology.WorkerID, in t
 		t.writeFrames(t.pktz.Add(packet.WorkerAddr(t.app, uint32(id)), buf[slot:]))
 	}
 	t.nSent++
+	t.sinceFlush++
 	t.writeFrames(t.pktz.Commit(first, buf))
 }
 
@@ -157,8 +159,14 @@ func (t *SDNTransport) SendControl(in tuple.Tuple) error {
 	return t.Flush()
 }
 
-// Flush implements Transport.
+// Flush implements Transport. With nothing staged it returns at once: the
+// worker loop flushes before every wait, and an empty FlushAll would still
+// advance the packetizer's idle-eviction clock, evicting live destinations
+// between two idle waits.
 func (t *SDNTransport) Flush() error {
+	if t.sinceFlush == 0 {
+		return nil
+	}
 	t.sinceFlush = 0
 	t.publishTallies()
 	t.writeFrames(t.pktz.FlushAll())

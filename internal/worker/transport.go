@@ -156,30 +156,24 @@ func (t *ChanTransport) Recv(max int, wait time.Duration) ([]tuple.Tuple, error)
 		max = 64
 	}
 	var out []tuple.Tuple
-	var timer *time.Timer
-	var timeout <-chan time.Time
-	if wait > 0 {
-		timer = time.NewTimer(wait)
-		timeout = timer.C
-		defer timer.Stop()
-	}
 	select {
 	case tp := <-t.inbox:
 		out = append(out, tp)
 	case <-t.closed:
 		return nil, errTransportClosed
-	case <-timeout:
-		return nil, nil
 	default:
 		if wait <= 0 {
 			return nil, nil
 		}
+		// The timer is armed only once the inbox has come up empty.
+		timer := time.NewTimer(wait)
+		defer timer.Stop()
 		select {
 		case tp := <-t.inbox:
 			out = append(out, tp)
 		case <-t.closed:
 			return nil, errTransportClosed
-		case <-timeout:
+		case <-timer.C:
 			return nil, nil
 		}
 	}

@@ -41,9 +41,10 @@ type Config struct {
 	// AckTimeout is how long a tracked tuple may stay incomplete before
 	// the source replays it.
 	AckTimeout time.Duration
-	// FlushInterval bounds how long emitted tuples may sit staged in the
-	// transport (see flushIfDue). Zero selects DefaultFlushDeadline, negative
-	// disables the bound (only the transport's batch threshold flushes then);
+	// FlushInterval is the flush deadline D. A positive D makes the loop
+	// flush before every wait and bounds staging in a loop that never waits
+	// (see flushIfDue). Zero selects DefaultFlushDeadline. Negative disables
+	// both: only the transport's batch threshold (or Stop) flushes then.
 	// BATCH_SIZE control tuples retune it live.
 	FlushInterval time.Duration
 	// RateLimit is the initial input rate (tuples/sec); <= 0 unlimited.
@@ -75,7 +76,7 @@ type Stats struct {
 }
 
 // DefaultFlushDeadline is the default bound on how long an emitted tuple may
-// wait staged in the transport for its batch to fill.
+// stay staged in the transport while the loop keeps working without a wait.
 const DefaultFlushDeadline = time.Millisecond
 
 // The worker goroutine waits in exactly one place, Transport.Recv, and wakes
@@ -90,7 +91,19 @@ const DefaultFlushDeadline = time.Millisecond
 // whole Next has come back empty since: a goroutine descheduled inside an
 // iteration (GC pause, preemption) would otherwise take the time it lost for
 // idleness and go to sleep on due tuples. Past the budget a source blocks for
-// sourceIdleWait and a bolt for boltIdleWait, capped at the flush deadline.
+// sourceIdleWait and a bolt for boltIdleWait.
+//
+// A staged tuple never waits out a timer. Two things move it to the wire:
+//   - the transport's batch threshold, owned by the transport;
+//   - the loop's flush before a wait (flushIfDue with n = 0), wherever it is
+//     about to block: run's idle wait and awaitToken's rate-limit wait. It
+//     runs on the block path only, never on an empty iteration inside
+//     idleSpin, so a paced source still fills frames.
+//
+// The flush deadline D bounds only a loop that never waits: a source paced
+// inside idleSpin, or a long batch (see flushIfDue). Go timers below a
+// millisecond return after about a millisecond in an idle process, so a
+// sleep with output staged would hold each hop's tuples that long.
 //
 // What the loop pays, and how often:
 //   - per tuple (execute, dispatch, EmitOn, Router.routeInto, Send): plain
@@ -147,7 +160,7 @@ type Worker struct {
 	hangNs  atomic.Int64
 	slowNs  atomic.Int64
 
-	lastFlush time.Time // last deadline flush (flushIfDue)
+	lastFlush time.Time // last loop flush (flushIfDue)
 
 	// Loop-goroutine state (see the loop comment): running totals behind
 	// processed and emitted, the coarse-clock value last acted on, rate-limit
@@ -421,20 +434,23 @@ func (w *Worker) run() {
 		case spout != nil && lastIter.Sub(lastWork) < idleSpin:
 			wait = 0
 		default:
-			wait = w.capWait(idleWait)
+			w.flushIfDue(now, 0)
+			wait = idleWait
 		}
 		lastIter = now
 	}
 }
 
-// flushIfDue is the one time bound on staging: it flushes the transport once
-// n deadlines have passed since the last flush. The loop asks with n = 1
-// between batches and on waking from a wait (capWait keeps waits to one
-// deadline), and with n = 2 inside a batch, at the first executed tuple after
-// each coarse-clock tick (onTick): a burst that ends in time leaves whole at
-// the batch boundary, a batch that overstays (slow logic, the chaos Slow
-// hook) is flushed all the same. A staged tuple waits under two deadlines
-// plus one coarse tick plus one Execute, half a deadline at the median.
+// flushIfDue flushes the transport once n deadlines have passed since the
+// last flush; a negative deadline turns it off. The loop asks with n = 0
+// wherever it is about to block, so no tuple waits out a timer. In a loop
+// that does not wait it is the time bound on staging: n = 1 between batches
+// bounds a source pacing itself inside idleSpin, and n = 2 inside a batch, at
+// the first executed tuple after each coarse-clock tick (onTick), lets a
+// burst that ends in time leave whole at the batch boundary while a batch
+// that overstays (slow logic, the chaos Slow hook) is flushed all the same.
+// There a staged tuple waits under two deadlines plus one coarse tick plus
+// one Execute.
 func (w *Worker) flushIfDue(now time.Time, n int) {
 	if every := w.cfg.FlushInterval; every > 0 && now.Sub(w.lastFlush) >= time.Duration(n)*every {
 		_ = w.tr.Flush()
@@ -460,14 +476,6 @@ func (w *Worker) publishTallies() {
 	if w.emitted.Load() != w.nEmitted {
 		w.emitted.Store(w.nEmitted)
 	}
-}
-
-// capWait keeps a wait of d from outlasting the flush deadline.
-func (w *Worker) capWait(d time.Duration) time.Duration {
-	if every := w.cfg.FlushInterval; every > 0 && every < d {
-		return every
-	}
-	return d
 }
 
 // dispatch routes one incoming tuple to the right layer.
@@ -505,27 +513,26 @@ func (w *Worker) dispatch(bolt Bolt, t tuple.Tuple) error {
 }
 
 // awaitToken blocks until the input rate limiter grants a token, reporting
-// false if Stop arrives first. It wakes for the flush deadline meanwhile, so
-// what earlier tuples of the batch emitted does not wait out the throttle,
-// and it keeps the time waited out of the batch's processing time.
+// false if Stop arrives first. What earlier tuples of the batch emitted is
+// flushed before each wait, so it does not wait out the throttle, and the
+// time waited is kept out of the batch's processing time.
 func (w *Worker) awaitToken() bool {
 	for {
 		d := w.rate.take()
 		if d == 0 {
 			return true
 		}
+		w.flushIfDue(time.Now(), 0)
 		began := time.Now()
-		timer := time.NewTimer(w.capWait(d))
+		timer := time.NewTimer(d)
 		select {
 		case <-w.stopCh:
 			timer.Stop()
 			return false
 		case <-timer.C:
 		}
-		now := time.Now()
-		w.throttled += now.Sub(began)
+		w.throttled += time.Since(began)
 		w.publishTallies()
-		w.flushIfDue(now, 1)
 	}
 }
 

@@ -360,11 +360,13 @@ func TestSignalReachesApplicationLayer(t *testing.T) {
 }
 
 // stagingTransport holds every Send until Flush, like a transport whose
-// batch threshold is out of reach: only the worker loop's flush deadline (or
-// Stop's final flush) can move a tuple.
+// batch threshold is out of reach: only the worker loop's flushes (or Stop's
+// final flush) can move a tuple. flushes records the size of every non-empty
+// Flush; read it only once the worker has stopped.
 type stagingTransport struct {
 	*ChanTransport
-	staged []stagedSend
+	staged  []stagedSend
+	flushes []int
 }
 
 type stagedSend struct {
@@ -378,6 +380,9 @@ func (s *stagingTransport) Send(d Destination, in tuple.Tuple) error {
 }
 
 func (s *stagingTransport) Flush() error {
+	if len(s.staged) > 0 {
+		s.flushes = append(s.flushes, len(s.staged))
+	}
 	for _, st := range s.staged {
 		_ = s.ChanTransport.Send(st.d, st.in)
 	}
@@ -501,6 +506,57 @@ func TestProcNanosExcludesThrottleWait(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return sink.count() == n })
 	if got := time.Duration(fwd.StatsSnapshot().ProcNanos); got <= 0 || got >= 20*time.Millisecond {
 		t.Fatalf("ProcNanos = %v for a throttled batch of trivial Executes; want (0, 20ms)", got)
+	}
+}
+
+// TestNothingStagedAcrossAWait pins the loop's rule that it never blocks with
+// tuples staged: with the deadline at an hour, only the flush before a wait
+// can move a tuple, and each case must see its output well inside one idle
+// wait's worth of timer slack.
+func TestNothingStagedAcrossAWait(t *testing.T) {
+	const soon = 100 * time.Millisecond
+	t.Run("bolt", func(t *testing.T) {
+		_, sink := preloaded(t, 1, Config{FlushInterval: time.Hour}, forwarder{})
+		waitFor(t, soon, func() bool { return sink.count() == 1 })
+	})
+	t.Run("source", func(t *testing.T) {
+		net := NewChanNetwork()
+		sink := &collector{}
+		startWorker(t, Config{App: 1, ID: 2, Node: "sink"}, sink, net.Attach(2))
+		startWorker(t, Config{
+			App: 1, ID: 1, Node: "src", Source: true, FlushInterval: time.Hour,
+			Routes: []topology.Route{dataRoute(2, topology.Shuffle)},
+		}, &seqSource{limit: 1}, &stagingTransport{ChanTransport: net.Attach(1)})
+		waitFor(t, soon, func() bool { return sink.count() == 1 })
+	})
+	t.Run("rate-limit wait", func(t *testing.T) {
+		// At 10 tuples/s the second token is 100 ms behind the first: the
+		// first output must leave before the loop sleeps for it.
+		fwd, sink := preloaded(t, 2, Config{FlushInterval: time.Hour, RateLimit: 10}, forwarder{})
+		waitFor(t, 5*time.Second, func() bool { return sink.count() > 0 })
+		if done := fwd.StatsSnapshot().Processed; done >= 2 {
+			t.Fatalf("first output left with %d tuples processed; want it out before the second token", done)
+		}
+	})
+}
+
+// TestBusyLoopStillBatches: the flush before a wait runs on the block path
+// only. A source with 50 tuples due back to back never waits between them, so
+// they leave in one flush, when it goes idle — not one flush per iteration.
+func TestBusyLoopStillBatches(t *testing.T) {
+	const n = 50
+	net := NewChanNetwork()
+	sink := &collector{}
+	startWorker(t, Config{App: 1, ID: 2, Node: "sink"}, sink, net.Attach(2))
+	tr := &stagingTransport{ChanTransport: net.Attach(1)}
+	src := startWorker(t, Config{
+		App: 1, ID: 1, Node: "src", Source: true, FlushInterval: time.Hour,
+		Routes: []topology.Route{dataRoute(2, topology.Shuffle)},
+	}, &seqSource{limit: n}, tr)
+	waitFor(t, 5*time.Second, func() bool { return sink.count() == n })
+	src.Stop()
+	if len(tr.flushes) != 1 || tr.flushes[0] != n {
+		t.Fatalf("non-empty flushes = %v, want one of %d", tr.flushes, n)
 	}
 }
 

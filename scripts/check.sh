@@ -37,6 +37,15 @@ no_per_tuple internal/worker/sdntransport.go 't \*SDNTransport' Recv "$per_tuple
 no_per_tuple internal/worker/router.go 'r \*Router' routeInto "$per_tuple"
 no_per_tuple internal/worker/worker.go 'w \*Worker' EmitOn '\.Lock\(\)|select \{'
 no_per_tuple internal/switchfabric/switch.go 's \*Switch' processBatch "$per_tuple"
+# A staged tuple never waits out a timer: the worker loop flushes before it
+# blocks, so no wait is cut to the flush deadline (capWait) and worker.go arms
+# a timer only for the rate-limit wait (awaitToken) and run's Hang hook.
+if grep -n 'capWait' $(ls internal/worker/*.go | grep -v '_test\.go$') ||
+	awk '/^func /{fn=$0} /time\.(NewTimer|After)\(/{print FILENAME":"FNR": "fn" ... "$0}' internal/worker/worker.go |
+	grep -v -e 'awaitToken() .*time\.NewTimer(d)' -e 'run() .*time\.After(time\.Duration(w\.hangNs'; then
+	echo "internal/worker: a timer that could hold staged tuples (see above)" >&2
+	exit 1
+fi
 # One flow cache, one way to configure the switch.
 if grep -inE 'megaflow|Disable[A-Za-z]*Cache|Without[A-Za-z]*Cache|optionFunc' \
 	$(ls internal/switchfabric/*.go | grep -v '_test\.go$'); then
