@@ -32,7 +32,7 @@ func main() {
 		demo       = flag.Bool("demo", false, "submit a demo word-count topology")
 		metrics    = flag.String("metrics", "127.0.0.1:9090", "operator API and observability HTTP listen address (empty disables)")
 		traceEvery = flag.Int("trace-every", 0, "sample one in N frames for tuple-path tracing (0 = default, negative disables)")
-		ctls       = flag.Int("controllers", 1, "replicated SDN controller instances (typhoon mode; 1 = standalone)")
+		ctls       = flag.Int("controllers", 1, "replicated SDN controller instances (typhoon mode; 1 = a set of one)")
 		qos        = flag.Bool("qos", false, "enable multi-tenant QoS: meters, weighted egress queues, bandwidth allocator")
 		linkBps    = flag.Uint64("link-bps", 0, "QoS per-host link capacity in bytes/s (0 = allocator default)")
 	)

@@ -2,7 +2,7 @@ package main
 
 import (
 	"fmt"
-	"os"
+	"io"
 	"text/tabwriter"
 
 	"typhoon/internal/apiclient"
@@ -14,22 +14,17 @@ import (
 //	typhoon-ctl -metrics-addr 127.0.0.1:9090 controlplane status
 //
 // The output is two tables — controller registrations (with heartbeat
-// liveness) and per-switch mastership leases (owner + fencing epoch).
-// Both are empty for a standalone single-controller cluster.
-func runControlPlane(cl *apiclient.Client, args []string) {
+// liveness) and per-switch mastership leases (owner + fencing epoch). A
+// default cluster is a set of one: ctl-0 and one lease per host.
+func runControlPlane(cl *apiclient.Client, args []string, out io.Writer) error {
 	if len(args) < 1 || args[0] != "status" {
-		fmt.Fprintln(os.Stderr, "usage: typhoon-ctl [flags] controlplane status")
-		os.Exit(2)
+		return errUsage
 	}
 	info, err := cl.ControlPlane()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if len(info.Controllers) == 0 && len(info.Masters) == 0 {
-		fmt.Println("standalone control plane (no replicated controllers registered)")
-		return
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "CONTROLLER\tADDR\tLIVE\tHEARTBEAT")
 	for _, c := range info.Controllers {
 		live := "yes"
@@ -46,5 +41,5 @@ func runControlPlane(cl *apiclient.Client, args []string) {
 		}
 		fmt.Fprintf(w, "%s\t%s\t%d\t%s\n", m.Host, m.Owner, m.Epoch, lease)
 	}
-	w.Flush()
+	return w.Flush()
 }

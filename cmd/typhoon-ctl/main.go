@@ -84,7 +84,7 @@ func run(api *apiclient.Client, args []string, view viewFlags, out io.Writer) er
 	case "rescale":
 		runRescale(api, args[1:])
 	case "controlplane":
-		runControlPlane(api, args[1:])
+		return runControlPlane(api, args[1:], out)
 	case "qos":
 		runQoS(api, args[1:])
 	case "batch":

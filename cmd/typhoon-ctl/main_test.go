@@ -170,13 +170,37 @@ func TestTopologyVerbsThroughAPI(t *testing.T) {
 	}
 }
 
+// TestControlPlaneStatusSetOfOne: a default cluster's control plane is one
+// replicated controller, ctl-0, holding one lease per host.
+func TestControlPlaneStatusSetOfOne(t *testing.T) {
+	c, cl := demoCluster(t, core.ModeTyphoon)
+	await(t, "both switches mastered", func() bool {
+		_, _, ok1 := c.MasterOf("h1")
+		_, _, ok2 := c.MasterOf("h2")
+		return ok1 && ok2
+	})
+	out := verb(t, cl, "controlplane", "status")
+	lines := strings.Split(out, "\n")
+	if len(lines) < 2 || !strings.HasPrefix(lines[1], "ctl-0 ") || !strings.Contains(lines[1], " yes ") {
+		t.Fatalf("status does not list ctl-0 live:\n%s", out)
+	}
+	for _, host := range []string{"h1", "h2"} {
+		if n := strings.Count(out, "\n"+host+" "); n != 1 {
+			t.Errorf("status shows %d lease row(s) for %s, want 1:\n%s", n, host, out)
+		}
+	}
+	if n := strings.Count(out, " ctl-0 "); n != 2 || strings.Count(out, "held") != 2 {
+		t.Errorf("want two leases held by ctl-0:\n%s", out)
+	}
+}
+
 // TestUnknownVerbIsUsageWithoutARequest: a typo is answered locally.
 func TestUnknownVerbIsUsageWithoutARequest(t *testing.T) {
 	var hits atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { hits.Add(1) }))
 	defer srv.Close()
 	cl := apiclient.New(strings.TrimPrefix(srv.URL, "http://"))
-	for _, args := range [][]string{nil, {"lsit"}, {"describe"}, {"scale", "wordcount", "split"}} {
+	for _, args := range [][]string{nil, {"lsit"}, {"describe"}, {"scale", "wordcount", "split"}, {"controlplane"}} {
 		var out bytes.Buffer
 		if err := run(cl, args, viewFlags{}, &out); !errors.Is(err, errUsage) {
 			t.Errorf("run(%q) = %v, want errUsage", args, err)

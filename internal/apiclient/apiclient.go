@@ -252,7 +252,6 @@ func (c *Client) Kill(name string) error {
 }
 
 // ControlPlane fetches controller registrations and per-switch mastership.
-// Both lists are empty for a standalone single-controller cluster.
 func (c *Client) ControlPlane() (controller.ControlPlaneInfo, error) {
 	var info controller.ControlPlaneInfo
 	err := c.get("controlplane", nil, &info)

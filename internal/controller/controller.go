@@ -72,14 +72,13 @@ func (BaseApp) OnTick(*Controller) {}
 type Options struct {
 	// Addr is the listen address; empty selects 127.0.0.1:0.
 	Addr string
-	// ID names this controller instance within a replicated control plane.
-	// Empty (the default) runs standalone: no lease machinery, implicit
-	// mastership of every switch — exactly the single-controller behaviour.
+	// ID names this controller instance within the control plane (a lone
+	// controller is a set of one). Required: it owns the instance's
+	// registration, the mastership leases it wins and its pause markers.
 	ID string
 	// LeaseTTL bounds the registration heartbeat and switch-mastership
-	// leases in replicated mode; a crashed controller's switches fail over
-	// after at most one TTL plus a campaign tick. Zero selects
-	// 5 × TickInterval.
+	// leases; a crashed controller's switches fail over after at most one
+	// TTL plus a campaign tick. Zero selects 5 × TickInterval.
 	LeaseTTL time.Duration
 	// TickInterval drives periodic reconciliation and app ticks.
 	TickInterval time.Duration
@@ -199,6 +198,8 @@ type Controller struct {
 
 	// syncMu serializes SyncTopology runs (watch and tick goroutines).
 	syncMu sync.Mutex
+	// campaignMu serializes election rounds (see campaign).
+	campaignMu sync.Mutex
 
 	mu     sync.Mutex
 	dps    map[string]*Datapath
@@ -210,8 +211,7 @@ type Controller struct {
 	nextMt uint32
 	// masters is this controller's view of per-switch mastership leases,
 	// refreshed by campaign(); roleSent tracks the last role asserted per
-	// datapath so ROLE_REQUEST goes out only on change. Both are empty in
-	// standalone mode.
+	// datapath so ROLE_REQUEST goes out only on change.
 	masters  map[string]coordinator.Lease
 	roleSent map[string]roleState
 
@@ -236,6 +236,9 @@ type Controller struct {
 
 // New builds a controller listening for switch connections.
 func New(kv coordinator.KV, opts Options) (*Controller, error) {
+	if opts.ID == "" {
+		return nil, fmt.Errorf("controller: Options.ID required")
+	}
 	if opts.Addr == "" {
 		opts.Addr = "127.0.0.1:0"
 	}
@@ -297,25 +300,21 @@ func (c *Controller) appsSnapshot() []App {
 	return append([]App(nil), c.apps...)
 }
 
-// Start launches the accept loop, the coordinator watch, and the ticker.
-// Replicated controllers additionally campaign for switch mastership and
-// watch the control-plane tree for lease movement.
+// Start campaigns for switch mastership, then launches the accept loop, the
+// coordinator watches (topologies and lease movement) and the ticker.
 func (c *Controller) Start() error {
 	events, cancel, err := c.kv.Watch(paths.Topologies)
 	if err != nil {
 		return err
 	}
-	if c.replicated() {
-		cpEvents, cpCancel, err := c.kv.Watch(paths.ControlPlane)
-		if err != nil {
-			cancel()
-			return err
-		}
-		c.campaign()
-		c.wg.Add(1)
-		go c.controlPlaneLoop(cpEvents, cpCancel)
+	cpEvents, cpCancel, err := c.kv.Watch(paths.ControlPlane)
+	if err != nil {
+		cancel()
+		return err
 	}
-	c.wg.Add(3)
+	c.campaign()
+	c.wg.Add(4)
+	go c.controlPlaneLoop(cpEvents, cpCancel)
 	go c.acceptLoop()
 	go c.watchLoop(events, cancel)
 	go c.tickLoop()
@@ -463,8 +462,6 @@ func (c *Controller) serveDatapath(nc net.Conn) {
 				c.mu.Lock()
 				if c.dps[dp.host] == dp {
 					delete(c.dps, dp.host)
-					// A reconnection needs a fresh role assertion.
-					delete(c.roleSent, dp.host)
 				}
 				c.mu.Unlock()
 			}
@@ -484,8 +481,12 @@ func (c *Controller) serveDatapath(nc net.Conn) {
 			}
 			c.mu.Lock()
 			c.dps[m.Host] = dp
+			// A new connection holds no role, whatever the last one was sent.
+			delete(c.roleSent, m.Host)
 			c.mu.Unlock()
-			c.assertRole(dp)
+			// Campaign now rather than on the next tick: the switch is a known
+			// host at last, so its vacant lease is claimed and asserted at once.
+			c.campaign()
 			// A new datapath may unblock pending topology syncs. Not on this
 			// goroutine: a sync waits for replies only this loop can read.
 			c.wg.Add(1)

@@ -14,7 +14,7 @@ import (
 // one topology view, so OnPortStatus can be driven directly.
 func fdTestController(t *testing.T) (*Controller, *topology.Logical, *topology.Physical) {
 	t.Helper()
-	c, err := New(coordinator.NewStore(), Options{})
+	c, err := New(coordinator.NewStore(), Options{ID: "ctl-0"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,9 @@ import (
 
 // Replicated control plane (distributed controllers).
 //
-// When Options.ID is set, N controller instances run concurrently against
-// the same coordinator. Each switch has exactly one master at a time,
+// N ≥ 1 controller instances, each named by Options.ID, run concurrently
+// against the same coordinator; a lone controller is a set of one and runs
+// the same machine. Each switch has exactly one master at a time,
 // elected through a lease at paths.SwitchMaster(host); the remaining
 // controllers are slaves that stay connected (hot standby) but receive no
 // asynchronous switch events. Sharding is by switch: a controller installs
@@ -49,20 +50,19 @@ type roleState struct {
 	epoch  uint64
 }
 
-// replicated reports whether this controller is part of a replicated
-// control plane. Standalone controllers (no ID) master every switch
-// implicitly and skip the lease machinery entirely.
-func (c *Controller) replicated() bool { return c.opts.ID != "" }
-
-// ID returns the controller's instance ID ("" when standalone).
+// ID returns the controller's instance ID.
 func (c *Controller) ID() string { return c.opts.ID }
 
 // campaign runs one election round: refresh our registration heartbeat,
 // compute the live controller set, then acquire/renew/concede the
 // mastership lease of every known switch host and assert the resulting
-// roles toward connected datapaths.
+// roles toward connected datapaths. Rounds start from the tick, from
+// controlPlaneLoop and from every datapath connect; campaignMu serializes
+// them, so an older round cannot adopt its view over a newer one's.
 func (c *Controller) campaign() {
-	if !c.replicated() || c.outage.Load() {
+	c.campaignMu.Lock()
+	defer c.campaignMu.Unlock()
+	if c.outage.Load() {
 		return
 	}
 	now := time.Now()
@@ -117,8 +117,10 @@ func (c *Controller) campaign() {
 	c.adoptMasters(masters)
 }
 
-// adoptMasters installs the campaign's view of mastership and sends
-// ROLE_REQUEST to every connected datapath whose role changed.
+// adoptMasters sends ROLE_REQUEST to every connected datapath whose role
+// changed, then installs the campaign's view of mastership. In that order:
+// a sync programs only the hosts this view says we master, so a switch
+// hears that we are its master before it hears any rule from us.
 func (c *Controller) adoptMasters(masters map[string]coordinator.Lease) {
 	type assertion struct {
 		dp     *Datapath
@@ -127,7 +129,6 @@ func (c *Controller) adoptMasters(masters map[string]coordinator.Lease) {
 	}
 	var out []assertion
 	c.mu.Lock()
-	c.masters = masters
 	for host, dp := range c.dps {
 		l, ok := masters[host]
 		if !ok {
@@ -148,27 +149,9 @@ func (c *Controller) adoptMasters(masters map[string]coordinator.Lease) {
 	for _, a := range out {
 		_, _ = a.dp.conn.Send(openflow.RoleRequest{Master: a.master, Epoch: a.epoch})
 	}
-}
-
-// assertRole re-sends our role toward a freshly connected datapath: the
-// switch-side link is new, so any previous master claim died with the old
-// connection.
-func (c *Controller) assertRole(dp *Datapath) {
-	if !c.replicated() {
-		return
-	}
 	c.mu.Lock()
-	l, ok := c.masters[dp.host]
-	master := ok && l.Owner == c.opts.ID
-	if ok {
-		c.roleSent[dp.host] = roleState{master: master, epoch: l.Epoch}
-	} else {
-		delete(c.roleSent, dp.host)
-	}
+	c.masters = masters
 	c.mu.Unlock()
-	if master {
-		_, _ = dp.conn.Send(openflow.RoleRequest{Master: true, Epoch: l.Epoch})
-	}
 }
 
 // liveControllers returns the sorted IDs of controllers with unexpired
@@ -232,11 +215,7 @@ func rendezvousOwner(host string, ids []string) string {
 }
 
 // IsMaster reports whether this controller masters the given switch host.
-// Standalone controllers master everything.
 func (c *Controller) IsMaster(host string) bool {
-	if !c.replicated() {
-		return true
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	l, ok := c.masters[host]
@@ -269,9 +248,6 @@ func (c *Controller) masteredHosts() map[string]bool {
 // work: the owner is the master of the topology's home switch — the first
 // host in sorted order — so ownership is a pure function of mastership.
 func (c *Controller) ownsPhysical(p *topology.Physical) bool {
-	if !c.replicated() {
-		return true
-	}
 	hosts := p.Hosts()
 	if len(hosts) == 0 {
 		return true
@@ -283,9 +259,6 @@ func (c *Controller) ownsPhysical(p *topology.Physical) bool {
 // polling, auto-scaling, rescales) for the named topology. Control plane
 // applications use it to shard themselves.
 func (c *Controller) OwnsTopology(name string) bool {
-	if !c.replicated() {
-		return true
-	}
 	c.mu.Lock()
 	ts := c.topos[name]
 	var p *topology.Physical

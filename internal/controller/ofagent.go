@@ -1,7 +1,6 @@
 package controller
 
 import (
-	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -10,57 +9,127 @@ import (
 	"typhoon/internal/switchfabric"
 )
 
-// OFAgent is the switch-side protocol endpoint: it connects a software SDN
-// switch to the controller over TCP, answers FEATURES/ECHO, applies
-// FLOW_MOD/GROUP_MOD/PACKET_OUT/STATS_REQUEST to the switch, and forwards
-// the switch's asynchronous events (PACKET_IN, PORT_STATUS, FLOW_REMOVED)
+// Agent redial backoff, matching the data-plane tunnel pattern.
+const (
+	agentRedialBase = 50 * time.Millisecond
+	agentRedialMax  = 5 // max backoff shift: 50ms << 5 = 1.6s
+)
+
+// SwitchAgent is the switch-side protocol endpoint: it connects a software
+// SDN switch to every controller of the control plane (a lone controller is
+// a set of one), answers FEATURES/ECHO, applies FLOW_MOD/GROUP_MOD/
+// METER_MOD/PACKET_OUT/STATS_REQUEST to the switch, and forwards the
+// switch's asynchronous events (PACKET_IN, PORT_STATUS, FLOW_REMOVED)
 // upstream. It is the part of the prototype that lives inside DPDK-OVS.
-type OFAgent struct {
-	sw   *switchfabric.Switch
-	conn *openflow.Conn
+//
+// Each controller gets a dedicated link that attaches as a controller sink
+// and is maintained forever: when a controller dies, the link redials with
+// exponential backoff until it is back, then re-attaches so the controller
+// can re-assert its role. Mastership is claimed per link via ROLE_REQUEST,
+// so the switch always knows which connection is master.
+type SwitchAgent struct {
+	sw *switchfabric.Switch
 
-	closeOnce sync.Once
-	done      chan struct{}
+	mu     sync.Mutex
+	conns  map[*openflow.Conn]struct{}
+	closed bool
+
+	stop chan struct{}
+	wg   sync.WaitGroup
 }
 
-// ConnectSwitch dials the controller and runs the handshake; the agent then
-// serves the connection until Close. It registers itself as the switch's
-// controller sink.
-func ConnectSwitch(addr string, sw *switchfabric.Switch) (*OFAgent, error) {
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("controller: dial: %w", err)
+// ConnectSwitch starts one maintained connection per controller address. It
+// does not fail if a controller is down: the link keeps dialing in the
+// background, which is exactly the behaviour a switch needs while a
+// controller restarts.
+func ConnectSwitch(addrs []string, sw *switchfabric.Switch) *SwitchAgent {
+	a := &SwitchAgent{
+		sw:    sw,
+		conns: make(map[*openflow.Conn]struct{}),
+		stop:  make(chan struct{}),
 	}
-	a := &OFAgent{sw: sw, conn: openflow.NewConn(nc), done: make(chan struct{})}
-	if _, err := a.conn.Send(openflow.Hello{}); err != nil {
-		nc.Close()
-		return nil, err
+	for _, addr := range addrs {
+		a.wg.Add(1)
+		go a.maintain(addr)
 	}
-	sw.SetController(a)
-	go a.serve()
-	return a, nil
+	return a
 }
 
-// Close tears down the connection.
-func (a *OFAgent) Close() {
-	a.closeOnce.Do(func() {
-		_ = a.conn.Close()
-	})
-	<-a.done
+// Close severs every link and stops redialing.
+func (a *SwitchAgent) Close() {
+	a.mu.Lock()
+	if a.closed {
+		a.mu.Unlock()
+		a.wg.Wait()
+		return
+	}
+	a.closed = true
+	close(a.stop)
+	for conn := range a.conns {
+		_ = conn.Close()
+	}
+	a.mu.Unlock()
+	a.wg.Wait()
 }
 
-// PacketIn implements switchfabric.ControllerSink.
-func (a *OFAgent) PacketIn(m openflow.PacketIn) { _, _ = a.conn.Send(m) }
+// track registers a live connection for Close to sever; it reports false
+// when the agent is already closed.
+func (a *SwitchAgent) track(conn *openflow.Conn) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.closed {
+		return false
+	}
+	a.conns[conn] = struct{}{}
+	return true
+}
 
-// PortStatus implements switchfabric.ControllerSink.
-func (a *OFAgent) PortStatus(m openflow.PortStatus) { _, _ = a.conn.Send(m) }
+func (a *SwitchAgent) untrack(conn *openflow.Conn) {
+	a.mu.Lock()
+	delete(a.conns, conn)
+	a.mu.Unlock()
+}
 
-// FlowRemoved implements switchfabric.ControllerSink.
-func (a *OFAgent) FlowRemoved(m openflow.FlowRemoved) { _, _ = a.conn.Send(m) }
-
-func (a *OFAgent) serve() {
-	defer close(a.done)
-	serveOF(a.conn, a.sw, a)
+func (a *SwitchAgent) maintain(addr string) {
+	defer a.wg.Done()
+	fails := 0
+	for {
+		select {
+		case <-a.stop:
+			return
+		default:
+		}
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			shift := fails
+			if shift > agentRedialMax {
+				shift = agentRedialMax
+			}
+			select {
+			case <-a.stop:
+				return
+			case <-time.After(agentRedialBase << shift):
+			}
+			fails++
+			continue
+		}
+		fails = 0
+		conn := openflow.NewConn(nc)
+		if !a.track(conn) {
+			_ = conn.Close()
+			return
+		}
+		link := &ofLink{conn: conn}
+		if _, err := conn.Send(openflow.Hello{}); err == nil {
+			a.sw.AttachController(link)
+			serveOF(conn, a.sw, link)
+			// Detach releases mastership if this link held it; the switch
+			// buffers master-only events until a successor claims the role.
+			a.sw.DetachController(link)
+		}
+		a.untrack(conn)
+		_ = conn.Close()
+	}
 }
 
 // serveOF runs the switch side of one controller connection until it fails,
@@ -85,8 +154,8 @@ func serveOF(conn *openflow.Conn, sw *switchfabric.Switch, sink switchfabric.Con
 				Ports:      sw.Ports(),
 			})
 		case openflow.RoleRequest:
-			// Epoch-fenced mastership claim from a replicated controller;
-			// the switch refuses stale epochs (see Switch.ClaimMaster).
+			// Epoch-fenced mastership claim; the switch refuses stale epochs
+			// (see Switch.ClaimMaster).
 			if m.Master {
 				sw.ClaimMaster(sink, m.Epoch)
 			} else {
@@ -121,124 +190,7 @@ func serveOF(conn *openflow.Conn, sw *switchfabric.Switch, sink switchfabric.Con
 	}
 }
 
-// Agent redial backoff, matching the data-plane tunnel pattern.
-const (
-	agentRedialBase = 50 * time.Millisecond
-	agentRedialMax  = 5 // max backoff shift: 50ms << 5 = 1.6s
-)
-
-// MultiAgent connects one switch to every controller of a replicated
-// control plane. Each endpoint gets a dedicated link that attaches as a
-// controller sink and is maintained forever: when a controller dies, the
-// link redials with exponential backoff until it is back, then re-attaches
-// so the controller can re-assert its role. Mastership is claimed per-link
-// via ROLE_REQUEST, so the switch always knows which connection is master.
-type MultiAgent struct {
-	sw *switchfabric.Switch
-
-	mu     sync.Mutex
-	conns  map[*openflow.Conn]struct{}
-	closed bool
-
-	stop chan struct{}
-	wg   sync.WaitGroup
-}
-
-// ConnectSwitchMulti starts one maintained connection per controller
-// address. Unlike ConnectSwitch it does not fail if a controller is down:
-// the link keeps dialing in the background, which is exactly the behaviour
-// a switch needs while a controller restarts.
-func ConnectSwitchMulti(addrs []string, sw *switchfabric.Switch) *MultiAgent {
-	m := &MultiAgent{
-		sw:    sw,
-		conns: make(map[*openflow.Conn]struct{}),
-		stop:  make(chan struct{}),
-	}
-	for _, addr := range addrs {
-		m.wg.Add(1)
-		go m.maintain(addr)
-	}
-	return m
-}
-
-// Close severs every link and stops redialing.
-func (m *MultiAgent) Close() {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		m.wg.Wait()
-		return
-	}
-	m.closed = true
-	close(m.stop)
-	for conn := range m.conns {
-		_ = conn.Close()
-	}
-	m.mu.Unlock()
-	m.wg.Wait()
-}
-
-// track registers a live connection for Close to sever; it reports false
-// when the agent is already closed.
-func (m *MultiAgent) track(conn *openflow.Conn) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return false
-	}
-	m.conns[conn] = struct{}{}
-	return true
-}
-
-func (m *MultiAgent) untrack(conn *openflow.Conn) {
-	m.mu.Lock()
-	delete(m.conns, conn)
-	m.mu.Unlock()
-}
-
-func (m *MultiAgent) maintain(addr string) {
-	defer m.wg.Done()
-	fails := 0
-	for {
-		select {
-		case <-m.stop:
-			return
-		default:
-		}
-		nc, err := net.Dial("tcp", addr)
-		if err != nil {
-			shift := fails
-			if shift > agentRedialMax {
-				shift = agentRedialMax
-			}
-			select {
-			case <-m.stop:
-				return
-			case <-time.After(agentRedialBase << shift):
-			}
-			fails++
-			continue
-		}
-		fails = 0
-		conn := openflow.NewConn(nc)
-		if !m.track(conn) {
-			_ = conn.Close()
-			return
-		}
-		link := &ofLink{conn: conn}
-		if _, err := conn.Send(openflow.Hello{}); err == nil {
-			m.sw.AttachController(link)
-			serveOF(conn, m.sw, link)
-			// Detach releases mastership if this link held it; the switch
-			// buffers master-only events until a successor claims the role.
-			m.sw.DetachController(link)
-		}
-		m.untrack(conn)
-		_ = conn.Close()
-	}
-}
-
-// ofLink is one controller connection of a MultiAgent.
+// ofLink is one controller connection of a SwitchAgent.
 type ofLink struct {
 	conn *openflow.Conn
 }

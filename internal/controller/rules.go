@@ -155,27 +155,23 @@ func (c *Controller) SyncTopology(name string) {
 		}
 	}
 
-	// Replicated control plane: shard by switch mastership. This controller
-	// programs only the switches it masters; the rest of the rule set is
-	// some other master's job, and stale cache entries for hosts we lost
-	// are forgotten without sends (the new master already owns them).
-	repl := c.replicated()
-	var mine map[string]bool
-	if repl {
-		mine = c.masteredHosts()
-		for key := range desired {
-			if !mine[key.host] {
-				delete(desired, key)
-			}
+	// Shard by switch mastership. This controller programs only the switches
+	// it masters; the rest of the rule set is some other master's job, and
+	// stale cache entries for hosts we lost are forgotten without sends (the
+	// new master already owns them).
+	mine := c.masteredHosts()
+	for key := range desired {
+		if !mine[key.host] {
+			delete(desired, key)
 		}
-		kept := make([]hostGroupMod, 0, len(groups))
-		for _, g := range groups {
-			if mine[g.host] {
-				kept = append(kept, g)
-			}
-		}
-		groups = kept
 	}
+	kept := make([]hostGroupMod, 0, len(groups))
+	for _, g := range groups {
+		if mine[g.host] {
+			kept = append(kept, g)
+		}
+	}
+	groups = kept
 
 	// Program meters before rules. A rule referencing a not-yet-programmed
 	// meter passes unmetered, so ordering is a courtesy, not a correctness
@@ -184,7 +180,7 @@ func (c *Controller) SyncTopology(name string) {
 	// and makes mastership failover self-healing.
 	if meterID != 0 {
 		for _, host := range p.Hosts() {
-			if repl && !mine[host] {
+			if !mine[host] {
 				continue
 			}
 			rate, ok := ratesSnap[host]
@@ -227,7 +223,7 @@ func (c *Controller) SyncTopology(name string) {
 		if _, ok := desired[key]; ok {
 			continue
 		}
-		if repl && !mine[key.host] {
+		if !mine[key.host] {
 			continue // mastership moved away; the new master owns this rule
 		}
 		if dp := c.datapath(key.host); dp != nil {
@@ -252,12 +248,10 @@ func (c *Controller) SyncTopology(name string) {
 	// Announce per-host readiness: each switch's master marks the hosts it
 	// just programmed so the topology owner can tell when the whole data
 	// plane carries this generation before issuing control tuples.
-	if repl {
-		gen := strconv.FormatInt(l.Generation, 10)
-		for _, host := range p.Hosts() {
-			if mine[host] {
-				c.putMarker(paths.NetReadyHost(name, host), gen)
-			}
+	gen := strconv.FormatInt(l.Generation, 10)
+	for _, host := range p.Hosts() {
+		if mine[host] {
+			c.putMarker(paths.NetReadyHost(name, host), gen)
 		}
 	}
 
@@ -276,7 +270,7 @@ func (c *Controller) SyncTopology(name string) {
 		if !owns {
 			return
 		}
-		if repl && !c.hostsReady(name, p, l.Generation, mine) {
+		if !c.hostsReady(name, p, l.Generation, mine) {
 			return // other masters have not installed this generation yet
 		}
 		// Stable update (§3.5): flush stateful nodes whose instance sets
@@ -312,7 +306,7 @@ func (c *Controller) SyncTopology(name string) {
 		c.mu.Lock()
 		ts.ctlGen = l.Generation
 		c.mu.Unlock()
-		_, _ = c.kv.Put(paths.NetReady(name), []byte(strconv.FormatInt(l.Generation, 10)))
+		_, _ = c.kv.Put(paths.NetReady(name), []byte(gen))
 	} else if owns {
 		// Port churn without a generation change (e.g. a crashed worker
 		// locally restarted on a fresh port): re-arm routing and re-activate

@@ -259,7 +259,7 @@ func TestCompileRulesQoS(t *testing.T) {
 // h1, h2 must have applied everything it was sent.
 func TestSyncBarrierBeforeControlTuples(t *testing.T) {
 	kv := coordinator.NewStore()
-	c, err := New(kv, Options{})
+	c, err := New(kv, Options{ID: "ctl-0"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,9 +38,8 @@ type ControlPlaneInfo struct {
 }
 
 // ReadControlPlaneInfo assembles the control-plane status from coordinator
-// state. It needs no controller handle, so CLI tools can call it against a
-// bare coordinator connection; an empty result means the cluster runs a
-// standalone controller.
+// state. It needs no controller handle; an empty result means no
+// controller has registered yet (or the cluster runs the Storm baseline).
 func ReadControlPlaneInfo(kv coordinator.KV) (ControlPlaneInfo, error) {
 	now := time.Now()
 	var info ControlPlaneInfo

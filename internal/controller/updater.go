@@ -116,14 +116,10 @@ func (u *Updater) Rescale(c *Controller, topoName, node string, parallelism int,
 	oldInstances := append([]topology.Assignment(nil), p.Instances(node)...)
 
 	// Phase 1: pause. The marker gates the reconciliation loop; the
-	// DEACTIVATE tuples throttle sources through the data plane. In a
-	// replicated control plane the marker carries the driver's ID so peers
-	// can reap it if this controller dies mid-rescale (see OnTick).
-	marker := "1"
-	if c.replicated() {
-		marker = c.opts.ID
-	}
-	if _, err := c.kv.Put(paths.Paused(topoName), []byte(marker)); err != nil {
+	// DEACTIVATE tuples throttle sources through the data plane. The marker
+	// carries the driver's ID so peers can reap it if this controller dies
+	// mid-rescale (see OnTick).
+	if _, err := c.kv.Put(paths.Paused(topoName), []byte(c.ID())); err != nil {
 		return nil, fmt.Errorf("updater: pause marker: %w", err)
 	}
 	pauseStart := time.Now()
@@ -397,9 +393,6 @@ func (u *Updater) restoreState(c *Controller, topoName string, instances []topol
 // has lapsed, the topology's current owner deletes it and re-activates
 // sources; the half-finished rescale is abandoned, but the pipeline runs.
 func (u *Updater) OnTick(c *Controller) {
-	if !c.replicated() {
-		return
-	}
 	for _, name := range c.TopologyNames() {
 		if !c.OwnsTopology(name) {
 			continue
@@ -409,7 +402,7 @@ func (u *Updater) OnTick(c *Controller) {
 			continue
 		}
 		owner := string(raw)
-		if owner == "" || owner == "1" || owner == c.ID() || c.ControllerLive(owner) {
+		if owner == c.ID() || c.ControllerLive(owner) {
 			continue
 		}
 		_ = c.kv.Delete(paths.Paused(name))

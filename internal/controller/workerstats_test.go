@@ -31,6 +31,9 @@ type statsBed struct {
 func newStatsBed(t *testing.T, opts Options, setup func(kv *coordinator.Store)) *statsBed {
 	t.Helper()
 	opts.TickInterval = time.Hour
+	if opts.ID == "" {
+		opts.ID = "ctl-0"
+	}
 	b := &statsBed{t: t, kv: coordinator.NewStore(), reqs: make(map[packet.Addr]int)}
 	if setup != nil {
 		setup(b.kv)
@@ -81,7 +84,7 @@ func newStatsBed(t *testing.T, opts Options, setup func(kv *coordinator.Store)) 
 			}
 		}
 	}()
-	b.await("datapath h1", func() bool { return c.datapath("h1") != nil })
+	b.await("h1's master", func() bool { _, _, ok := c.MasterOf("h1"); return ok })
 	return b
 }
 

@@ -80,9 +80,9 @@ type Config struct {
 	// disables tracing.
 	TraceEvery int
 	// Controllers is the number of SDN controller instances (Typhoon
-	// mode). 0 or 1 runs one standalone controller; n > 1 runs a
-	// replicated control plane with coordinator-elected per-switch
-	// mastership and zero-interruption failover.
+	// mode), 0 selecting 1. They form a replicated control plane with
+	// coordinator-elected per-switch mastership; with n > 1 a killed
+	// controller's switches fail over to a peer without interruption.
 	Controllers int
 	// Chaos is an optional fault-injection plan executed once the cluster
 	// is up; its Seed drives the link impairment table.
@@ -97,9 +97,8 @@ type Host struct {
 	Switch *switchfabric.Switch
 	Agent  *agent.Agent
 
-	ofAgent    *controller.OFAgent
-	multiAgent *controller.MultiAgent
-	tunnel     *tunnelEndpoint
+	switchAgent *controller.SwitchAgent
+	tunnel      *tunnelEndpoint
 }
 
 // Cluster is a running emulated deployment.
@@ -169,6 +168,7 @@ func NewCluster(options ...Option) (*Cluster, error) {
 		hosts: make(map[string]*Host),
 	}
 
+	var ctlAddrs []string
 	if cfg.Mode == ModeTyphoon {
 		c.netem = chaos.NewNetem(cfg.Chaos.Seed)
 		n := cfg.Controllers
@@ -176,16 +176,13 @@ func NewCluster(options ...Option) (*Cluster, error) {
 			n = 1
 		}
 		for i := 0; i < n; i++ {
-			opts := controller.Options{EnableQoS: cfg.QoS.Enable}
-			var labels observe.Labels
+			opts := controller.Options{ID: fmt.Sprintf("ctl-%d", i), EnableQoS: cfg.QoS.Enable}
 			if n > 1 {
-				// Replicated control plane: tight ticks so mastership
-				// campaigns — and therefore failover detection — run at
-				// tens of milliseconds.
-				opts.ID = fmt.Sprintf("ctl-%d", i)
+				// A peer to fail over to: tight ticks so mastership campaigns
+				// — and therefore failover detection — run at tens of
+				// milliseconds. A lone controller keeps the default tick.
 				opts.TickInterval = 50 * time.Millisecond
 				opts.LeaseTTL = 300 * time.Millisecond
-				labels = observe.Labels{"controller": opts.ID}
 			}
 			ctl, err := controller.New(c.Store, opts)
 			if err != nil {
@@ -193,8 +190,9 @@ func NewCluster(options ...Option) (*Cluster, error) {
 				return nil, err
 			}
 			c.controllers = append(c.controllers, ctl)
+			ctlAddrs = append(ctlAddrs, ctl.Addr())
 			c.Obs.Registry.GaugeFunc("typhoon_controller_datapaths",
-				"Switches connected to the SDN controller.", labels,
+				"Switches connected to the SDN controller.", observe.Labels{"controller": opts.ID},
 				func() float64 { return float64(len(ctl.Datapaths())) })
 			u := controller.NewUpdater()
 			c.updaters = append(c.updaters, u)
@@ -269,20 +267,7 @@ func NewCluster(options ...Option) (*Cluster, error) {
 				return nil, err
 			}
 			h.tunnel = tun
-			if len(c.controllers) > 1 {
-				addrs := make([]string, 0, len(c.controllers))
-				for _, ctl := range c.controllers {
-					addrs = append(addrs, ctl.Addr())
-				}
-				h.multiAgent = controller.ConnectSwitchMulti(addrs, sw)
-			} else {
-				ofa, err := controller.ConnectSwitch(c.Controller.Addr(), sw)
-				if err != nil {
-					c.Stop()
-					return nil, err
-				}
-				h.ofAgent = ofa
-			}
+			h.switchAgent = controller.ConnectSwitch(ctlAddrs, sw)
 			agentOpts.Mode = agent.ModeSDN
 			agentOpts.Switch = sw
 			agentOpts.FrameSampler = c.Obs.Sampler
@@ -322,14 +307,14 @@ func NewCluster(options ...Option) (*Cluster, error) {
 // Host returns a host by name, or nil.
 func (c *Cluster) Host(name string) *Host { return c.hosts[name] }
 
-// Controllers lists the SDN controller instances: one in standalone mode,
-// n under WithControllers(n). Empty in ModeStorm.
+// Controllers lists the SDN controller instances, ctl-0 … ctl-{n-1}: one by
+// default, n under WithControllers(n). Empty in ModeStorm.
 func (c *Cluster) Controllers() []*controller.Controller {
 	return append([]*controller.Controller(nil), c.controllers...)
 }
 
 // ControllerByID finds a controller instance by its control-plane ID, or
-// nil (standalone controllers have ID "").
+// nil.
 func (c *Cluster) ControllerByID(id string) *controller.Controller {
 	for _, ctl := range c.controllers {
 		if ctl.ID() == id {
@@ -340,10 +325,9 @@ func (c *Cluster) ControllerByID(id string) *controller.Controller {
 }
 
 // KillController terminates one controller instance by ID (chaos): its
-// switch connections drop, its heartbeat and lease renewals stop, and —
-// in a replicated control plane — surviving peers take over its switches
-// once the leases expire, reconciling rules with zero interruption to
-// cached-path forwarding.
+// switch connections drop, its heartbeat and lease renewals stop, and
+// surviving peers, if any, take over its switches once the leases expire,
+// reconciling rules with zero interruption to cached-path forwarding.
 func (c *Cluster) KillController(id string) error {
 	ctl := c.ControllerByID(id)
 	if ctl == nil {
@@ -524,11 +508,8 @@ func (c *Cluster) Stop() {
 		ctl.Stop()
 	}
 	for _, h := range c.hosts {
-		if h.ofAgent != nil {
-			h.ofAgent.Close()
-		}
-		if h.multiAgent != nil {
-			h.multiAgent.Close()
+		if h.switchAgent != nil {
+			h.switchAgent.Close()
 		}
 		if h.Switch != nil {
 			h.Switch.Stop()

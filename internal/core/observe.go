@@ -190,8 +190,7 @@ func (c *Cluster) ObserveHandler() http.Handler {
 }
 
 // serveControlPlane reports controller registrations and per-switch
-// mastership from coordinator state. In standalone mode both lists are
-// empty — there are no leases to inspect.
+// mastership from coordinator state.
 func (c *Cluster) serveControlPlane(w http.ResponseWriter, _ *http.Request) {
 	info, err := controller.ReadControlPlaneInfo(c.Store)
 	if err != nil {

@@ -102,7 +102,7 @@ func WithTraceEvery(n int) Option {
 // the rest stay as hot-standby slaves, control-plane apps shard by
 // topology ownership, and killing any controller fails its switches over
 // to a peer without interrupting cached-path forwarding. Default (0 or 1):
-// one standalone controller, identical to the single-controller behaviour.
+// a replicated set of one, ctl-0, which masters every switch.
 func WithControllers(n int) Option {
 	return optionFunc(func(c *Config) { c.Controllers = n })
 }

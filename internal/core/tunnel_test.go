@@ -36,7 +36,8 @@ func TestTunnelIngressOverflowCountsOneDrop(t *testing.T) {
 	sw := switchfabric.New("h1", 1, switchfabric.Options{RingCapacity: 4})
 	sw.Start()
 	sink := &stallingSink{entered: make(chan struct{}, 1), release: make(chan struct{})}
-	sw.SetController(sink)
+	sw.AttachController(sink)
+	sw.ClaimMaster(sink, 1)
 	tport, err := sw.AddTunnelPort("tun0")
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ func TestTunnelPortReadBatchUnblocksAfterStop(t *testing.T) {
 			{Name: "best-effort", Weight: 1},
 		},
 	})
-	sw.SetController(&recordingSink{})
+	attachMaster(sw, &recordingSink{})
 	sw.Start()
 	p, err := sw.AddTunnelPort("tun0")
 	if err != nil {

@@ -238,7 +238,7 @@ func TestEgressQueuesDRR(t *testing.T) {
 			{Name: "best-effort", Weight: 1},
 		},
 	})
-	sw.SetController(sink)
+	attachMaster(sw, sink)
 	sw.Start()
 	t.Cleanup(sw.Stop)
 
@@ -319,7 +319,7 @@ func TestEgressQueueDefaultClassAndClamp(t *testing.T) {
 		RingCapacity: 256,
 		EgressQueues: []QueueClass{{Name: "a", Weight: 2}, {Name: "b", Weight: 1}},
 	})
-	sw.SetController(sink)
+	attachMaster(sw, sink)
 	sw.Start()
 	t.Cleanup(sw.Stop)
 	a1, a2 := packet.WorkerAddr(1, 1), packet.WorkerAddr(1, 2)

@@ -333,28 +333,6 @@ func (s *Switch) Name() string { return s.name }
 // DatapathID returns the datapath identifier.
 func (s *Switch) DatapathID() uint64 { return s.dpid }
 
-// SetController attaches a single controller event sink with the master
-// role, replacing any existing attachments — the standalone (single
-// controller) wiring. Replicated control planes use AttachController +
-// ClaimMaster instead.
-func (s *Switch) SetController(sink ControllerSink) {
-	s.mu.Lock()
-	if sink == nil {
-		s.sinks = nil
-		s.master = nil
-		s.publishSinksLocked()
-		s.mu.Unlock()
-		return
-	}
-	s.sinks = []ControllerSink{sink}
-	s.master = sink
-	s.masterEpoch++
-	s.publishSinksLocked()
-	pend := s.takePendingLocked()
-	s.mu.Unlock()
-	flushPending(sink, pend)
-}
-
 // AttachController adds a controller event sink in the slave role: it
 // receives PACKET_IN broadcasts but no master-only events until it claims
 // mastership.

@@ -41,11 +41,18 @@ func (r *recordingSink) counts() (int, int, int) {
 	return len(r.packetIn), len(r.ports), len(r.removed)
 }
 
+// attachMaster connects sink the way a controller link does: attached, then
+// granted the master role at the first lease epoch.
+func attachMaster(sw *Switch, sink ControllerSink) {
+	sw.AttachController(sink)
+	sw.ClaimMaster(sink, 1)
+}
+
 func newTestSwitch(t *testing.T) (*Switch, *recordingSink) {
 	t.Helper()
 	sink := &recordingSink{}
 	sw := New("host-1", 1, Options{RingCapacity: 256, IdleScanInterval: 10 * time.Millisecond})
-	sw.SetController(sink)
+	attachMaster(sw, sink)
 	sw.Start()
 	t.Cleanup(sw.Stop)
 	return sw, sink

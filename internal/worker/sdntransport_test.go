@@ -264,7 +264,8 @@ func TestSDNTransportControlPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &recordingSink{packetIn: make(chan []byte, 4)}
-	sw.SetController(sink)
+	sw.AttachController(sink)
+	sw.ClaimMaster(sink, 1)
 	if err := src.SendControl(tuple.OnStream(tuple.ControlStream, tuple.String("METRIC_RESP"))); err != nil {
 		t.Fatal(err)
 	}

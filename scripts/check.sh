@@ -52,6 +52,13 @@ if grep -inE 'megaflow|Disable[A-Za-z]*Cache|Without[A-Za-z]*Cache|optionFunc' \
 	echo "internal/switchfabric grew a second flow cache or option idiom (see above)" >&2
 	exit 1
 fi
+# One switch attachment, one mastership machine: a lone controller is a
+# replicated set of one, so no second agent, sink setter or standalone mode.
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
+	'OFAgent|MultiAgent|ConnectSwitchMulti|SetController|replicated\(\)|assertRole' .; then
+	echo "a second controller attachment or a standalone mode (see above)" >&2
+	exit 1
+fi
 # A tuple is encoded where it leaves and decoded where it lies: no encode
 # scratch and no buffer made between a tuple and its frame, in either
 # direction (stage and decodeFrame are Send's and Recv's per-tuple halves).

@@ -190,7 +190,7 @@ var (
 	// WithTraceEvery samples one in n frames for tuple-path tracing.
 	WithTraceEvery = core.WithTraceEvery
 	// WithControllers runs n replicated SDN controllers with
-	// coordinator-elected per-switch mastership (default: one standalone).
+	// coordinator-elected per-switch mastership (default: a set of one).
 	WithControllers = core.WithControllers
 	// WithQoS enables multi-tenant QoS: per-topology meters, weighted
 	// egress queues, and the online bandwidth allocator (docs/QOS.md).
