@@ -3,7 +3,8 @@
 // software switch pipeline (two vDSO calls per forwarded frame in the
 // pre-fast-path switch); flow-rule idle tracking and tuple-path trace hops
 // only need millisecond-ish accuracy, so they read a cached timestamp that a
-// single background ticker refreshes instead.
+// single background ticker refreshes instead. Its Dozer is the other way
+// round: a sleep below a millisecond that ends on time.
 package clock
 
 import (

@@ -79,26 +79,38 @@ type Stats struct {
 // stay staged in the transport while the loop keeps working without a wait.
 const DefaultFlushDeadline = time.Millisecond
 
-// The worker goroutine waits in exactly one place, Transport.Recv, and wakes
-// early on an incoming frame. After an iteration that did work it polls
-// (wait 0). A source keeps polling until idleSpin has passed since it last
-// did work: blocking on the first empty Next would turn a paced source's
-// emissions into bursts one idle wait apart. The budget is time, read off the
-// clock the loop reads anyway, because what it has to outlast is the gap
-// between two due tuples — an iteration count buys less spin every time an
-// iteration gets cheaper (64 of them were ~20 µs when an empty iteration cost
-// ~300 ns). It is judged by the previous iteration's clock read, so that a
-// whole Next has come back empty since: a goroutine descheduled inside an
-// iteration (GC pause, preemption) would otherwise take the time it lost for
-// idleness and go to sleep on due tuples. Past the budget a source blocks for
-// sourceIdleWait and a bolt for boltIdleWait.
+// The worker goroutine waits in one of two places: a paced source dozes on
+// its kernel timer (clock.Dozer); everything else waits in Transport.Recv,
+// which wakes early on an incoming frame. After an iteration that did work
+// it polls (wait 0). A source keeps polling until idleSpin has passed since
+// it last did work: blocking on the first empty Next would turn a paced
+// source's emissions into bursts one idle wait apart. The budget is time,
+// read off the clock the loop reads anyway, because what it has to outlast is
+// the gap between two due tuples — an iteration count buys less spin every
+// time an iteration gets cheaper (64 of them were ~20 µs when an empty
+// iteration cost ~300 ns). It is judged by the previous iteration's clock
+// read, so that a whole Next has come back empty since: a goroutine
+// descheduled inside an iteration (GC pause, preemption) would otherwise take
+// the time it lost for idleness and go to sleep on due tuples. Past the
+// budget:
+//   - a source that did work within pacedFor dozes sourceIdleWait, then
+//     polls. A Go timer that short ends about a millisecond late once the
+//     process is idle (the runtime's epoll_pwait takes whole milliseconds),
+//     so a 200 µs Recv wait held every due tuple up to ~1 ms; the dozer's
+//     timerfd ends that epoll_pwait on time and holds no thread.
+//     A frame sent to a dozing source (a control tuple, a COMPLETE) waits at
+//     most one doze, about 200 µs.
+//   - a source idle for pacedFor waits in Recv for sourceIdleWait, a bolt for
+//     boltIdleWait. The backoff keeps idle sources cheap: a doze costs ~5 µs
+//     of CPU, and eight idle sources that dozed forever used 0.23 cores,
+//     against 0.03 waiting in Recv.
 //
 // A staged tuple never waits out a timer. Two things move it to the wire:
 //   - the transport's batch threshold, owned by the transport;
 //   - the loop's flush before a wait (flushIfDue with n = 0), wherever it is
-//     about to block: run's idle wait and awaitToken's rate-limit wait. It
-//     runs on the block path only, never on an empty iteration inside
-//     idleSpin, so a paced source still fills frames.
+//     about to block: run's doze or idle wait and awaitToken's rate-limit
+//     wait. It runs on the block path only, never on an empty iteration
+//     inside idleSpin, so a paced source still fills frames.
 //
 // The flush deadline D bounds only a loop that never waits: a source paced
 // inside idleSpin, or a long batch (see flushIfDue). Go timers below a
@@ -123,6 +135,7 @@ const (
 	idleSpin       = 20 * time.Microsecond
 	sourceIdleWait = 200 * time.Microsecond
 	boltIdleWait   = time.Millisecond
+	pacedFor       = 10 * time.Millisecond
 )
 
 // errStopping aborts a batch when Stop arrives during the rate-limit wait; the
@@ -352,8 +365,11 @@ func (w *Worker) run() {
 	lastReplayScan := time.Now()
 	lastStats := time.Now()
 	idleWait := boltIdleWait
+	var doze *clock.Dozer
 	if spout != nil {
 		idleWait = sourceIdleWait
+		doze = clock.NewDozer()
+		defer doze.Close()
 	}
 	// When the last iteration that did work ended, and the last iteration.
 	lastWork, lastIter := w.lastFlush, w.lastFlush
@@ -432,6 +448,10 @@ func (w *Worker) run() {
 		case worked:
 			lastWork, wait = now, 0
 		case spout != nil && lastIter.Sub(lastWork) < idleSpin:
+			wait = 0
+		case spout != nil && lastIter.Sub(lastWork) < pacedFor:
+			w.flushIfDue(now, 0)
+			doze.Sleep(sourceIdleWait)
 			wait = 0
 		default:
 			w.flushIfDue(now, 0)

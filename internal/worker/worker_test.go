@@ -2,11 +2,14 @@ package worker
 
 import (
 	"errors"
+	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"typhoon/internal/clock"
 	"typhoon/internal/control"
 	"typhoon/internal/topology"
 	"typhoon/internal/tuple"
@@ -557,6 +560,189 @@ func TestBusyLoopStillBatches(t *testing.T) {
 	src.Stop()
 	if len(tr.flushes) != 1 || tr.flushes[0] != n {
 		t.Fatalf("non-empty flushes = %v, want one of %d", tr.flushes, n)
+	}
+}
+
+// recvLog is a Transport that records the wait of every Recv.
+type recvLog struct {
+	Transport
+	mu    sync.Mutex
+	calls []recvCall
+}
+
+type recvCall struct {
+	at   time.Time
+	wait time.Duration
+}
+
+func (r *recvLog) Recv(max int, wait time.Duration) ([]tuple.Tuple, error) {
+	r.mu.Lock()
+	r.calls = append(r.calls, recvCall{time.Now(), wait})
+	r.mu.Unlock()
+	return r.Transport.Recv(max, wait)
+}
+
+// waitedAfter reports whether the last Recv waited, at least d after the
+// first Recv.
+func (r *recvLog) waitedAfter(d time.Duration) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.calls) == 0 {
+		return false
+	}
+	last := r.calls[len(r.calls)-1]
+	return last.wait > 0 && last.at.Sub(r.calls[0].at) >= d
+}
+
+// pacedSpout emits one tuple every `every` for `span` after its first Next,
+// then nothing. last is its last emission; read it once the worker stopped.
+type pacedSpout struct {
+	every, span time.Duration
+	first, last time.Time
+	n           int64
+}
+
+func (s *pacedSpout) Open(*Context) error  { return nil }
+func (s *pacedSpout) Close(*Context) error { return nil }
+func (s *pacedSpout) Next(ctx *Context) (bool, error) {
+	now := time.Now()
+	if s.first.IsZero() {
+		s.first = now
+	}
+	if now.Sub(s.first) > s.span || now.Sub(s.last) < s.every {
+		return false, nil
+	}
+	ctx.Emit(tuple.Int(s.n))
+	s.n++
+	s.last = now
+	return true, nil
+}
+
+// TestPacedSourceDozes: a source paced by its spout dozes between due tuples
+// and never waits in Recv, whose sub-millisecond timer would end a
+// millisecond late; pacedFor after its last emission it waits in Recv again.
+func TestPacedSourceDozes(t *testing.T) {
+	net := NewChanNetwork()
+	sink := &collector{}
+	startWorker(t, Config{App: 1, ID: 2, Node: "sink"}, sink, net.Attach(2))
+	tr := &recvLog{Transport: net.Attach(1)}
+	sp := &pacedSpout{every: 500 * time.Microsecond, span: 20 * time.Millisecond}
+	src := startWorker(t, Config{
+		App: 1, ID: 1, Node: "src", Source: true,
+		Routes: []topology.Route{dataRoute(2, topology.Shuffle)},
+	}, sp, tr)
+	waitFor(t, 5*time.Second, func() bool { return tr.waitedAfter(sp.span) })
+	src.Stop()
+
+	if sp.n < 10 {
+		t.Fatalf("spout emitted %d tuples in %v, want it paced every %v", sp.n, sp.span, sp.every)
+	}
+	for _, c := range tr.calls {
+		if c.wait == 0 {
+			continue
+		}
+		if c.at.Before(sp.last.Add(pacedFor)) {
+			t.Fatalf("Recv waited %v at %v after the last emission, want polls only within %v",
+				c.wait, c.at.Sub(sp.last), pacedFor)
+		}
+		if c.wait != sourceIdleWait {
+			t.Fatalf("idle source waited %v in Recv, want %v", c.wait, sourceIdleWait)
+		}
+	}
+}
+
+// TestDozingSourceHearsControl: a frame sent to a dozing source waits at most
+// one doze. A source paced by its rate limit dozes between tokens; the
+// METRIC_REQ behind a DEACTIVATE must be answered within 5 ms (the median of
+// five rounds, so that one round descheduled on a loaded machine does not
+// decide it), and nothing is emitted after the answer.
+func TestDozingSourceHearsControl(t *testing.T) {
+	net := NewChanNetwork()
+	sink := &collector{}
+	startWorker(t, Config{App: 1, ID: 2, Node: "sink"}, sink, net.Attach(2))
+	src := startWorker(t, Config{
+		App: 1, ID: 1, Node: "src", Source: true, RateLimit: 2000,
+		Routes: []topology.Route{dataRoute(2, topology.Shuffle)},
+	}, &seqSource{}, net.Attach(1))
+	ctl := net.Attach(99)
+	toSrc := Destination{Workers: []topology.WorkerID{1}}
+
+	var took []time.Duration
+	var mr control.MetricResp
+	for round := 1; round <= 5; round++ {
+		_ = ctl.Send(toSrc, control.Encode(control.KindActivate, nil))
+		n := sink.count()
+		waitFor(t, 5*time.Second, func() bool { return sink.count() > n+30 })
+		begin := time.Now()
+		_ = ctl.Send(toSrc, control.Encode(control.KindDeactivate, nil))
+		_ = ctl.Send(toSrc, control.Encode(control.KindMetricReq, control.MetricReq{Token: uint64(round)}))
+		select {
+		case resp := <-net.Control:
+			took = append(took, time.Since(begin))
+			if err := control.DecodePayload(resp, &mr); err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("no METRIC_RESP")
+		}
+	}
+	time.Sleep(20 * time.Millisecond)
+	if got := src.StatsSnapshot().Emitted; got != mr.Emitted {
+		t.Fatalf("Emitted %d after DEACTIVATE was answered with %d", got, mr.Emitted)
+	}
+	slices.Sort(took)
+	if took[len(took)/2] > 5*time.Millisecond {
+		t.Fatalf("dozing source answered in %v, want a median within 5ms", took)
+	}
+}
+
+// openFDs counts this process's open file descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	return len(ents)
+}
+
+// TestSourceDozersClosed: a source's dozer is a file descriptor while the
+// source runs, and every way out of the loop gives it back.
+func TestSourceDozersClosed(t *testing.T) {
+	const n = 20
+	// The runtime's netpoller opens descriptors of its own on first use.
+	warm := clock.NewDozer()
+	warm.Sleep(time.Microsecond)
+	_ = warm.Close()
+	for _, c := range []struct {
+		name string
+		stop func(*Worker)
+	}{
+		{"Stop", (*Worker).Stop},
+		{"Fail", func(w *Worker) { w.Fail(nil); w.Wait() }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			base := openFDs(t)
+			net := NewChanNetwork()
+			ws := make([]*Worker, n)
+			for i := range ws {
+				id := topology.WorkerID(i + 1)
+				w, err := New(Config{App: 1, ID: id, Node: "src", Logic: "test/source", Source: true,
+					RateLimit: 1000}, net.Attach(id))
+				if err != nil {
+					t.Fatal(err)
+				}
+				w.Start()
+				ws[i] = w
+			}
+			waitFor(t, 5*time.Second, func() bool { return openFDs(t) >= base+n })
+			for _, w := range ws {
+				c.stop(w)
+			}
+			if got := openFDs(t); got != base {
+				t.Fatalf("%d open fds after %d sources stopped, want %d", got, n, base)
+			}
+		})
 	}
 }
 

@@ -5,7 +5,23 @@
 set -eux
 cd "$(dirname "$0")/.."
 go build ./...
+# Platforms without timerfd build clock.Dozer's time.Sleep fallback.
+GOOS=darwin GOARCH=arm64 go build ./...
+GOOS=windows go build ./...
 go vet ./...
+# A paced source dozes on a timerfd the netpoller waits on (clock.Dozer), not
+# in a raw nanosleep: that holds its thread and P through the doze, and
+# bcast_remote sat fell 23 % (4.29 M → 3.29 M tuples/s, 2 vCPUs) with the
+# source sleeping that way.
+if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'Nanosleep' .; then
+	echo "a nanosleep outside tests (see above)" >&2
+	exit 1
+fi
+# The kernel timer has one home.
+if grep -rn --include='*.go' --exclude-dir=.bench_build 'SYS_TIMERFD' . | grep -v '^\./internal/clock/'; then
+	echo "SYS_TIMERFD outside internal/clock (see above)" >&2
+	exit 1
+fi
 # The tuple path waits in Transport.Recv and in bounded ring enqueues, never
 # in a sleep-poll: the one time.Sleep allowed in the worker loop and the
 # tunnel is the chaos Slow hook in Worker.execute.
