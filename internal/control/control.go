@@ -127,7 +127,10 @@ type MetricResp struct {
 	QueueLen  int               `json:"queueLen"`
 	Processed uint64            `json:"processed"`
 	Emitted   uint64            `json:"emitted"`
-	Dropped   uint64            `json:"dropped"`
+	// GaveUp counts tracked source tuples dropped after their last replay
+	// attempt (worker.Stats.GaveUp).
+	GaveUp  uint64 `json:"gaveUp"`
+	Dropped uint64 `json:"dropped"`
 	// ProcNanos is the cumulative time, in nanoseconds, the worker spent
 	// dispatching received batches that executed at least one tuple, with
 	// rate-limit waits taken out. It is charged when a batch ends.

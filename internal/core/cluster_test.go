@@ -4,8 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"typhoon/internal/chaos"
 	"typhoon/internal/controller"
 	"typhoon/internal/topology"
+	"typhoon/internal/worker"
 	"typhoon/internal/workload"
 )
 
@@ -310,6 +312,59 @@ func TestTyphoonGuaranteedProcessing(t *testing.T) {
 	if src.CompleteLatencies.Count() != 1000 {
 		t.Fatalf("latency samples = %d", src.CompleteLatencies.Count())
 	}
+}
+
+// TestAckedReplayUnderLoss: with 5 % of the frames on the h1↔h2 tunnel lost,
+// every source tuple still ends exactly once, completed or given up after its
+// last replay. One lost frame can take a whole batch of acker records (up to
+// 64 trees) with it; replay covers them.
+func TestAckedReplayUnderLoss(t *testing.T) {
+	const n = 5000
+	c, err := NewCluster(Config{
+		Mode:             ModeTyphoon,
+		Hosts:            []string{"h1", "h2"},
+		DefaultBatchSize: 50,
+		AckTimeout:       200 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	cfg := workload.NewConfig()
+	cfg.Set(workload.CfgSeqLimit, n)
+	c.Env.Set(workload.EnvStats, workload.NewStats(100*time.Millisecond))
+	c.Env.Set(workload.EnvConfig, cfg)
+	if err := c.Chaos.Apply(chaos.Spec{Kind: chaos.KindNetem, Host: "h1", Peer: "h2", DropRate: 0.05}); err != nil {
+		t.Fatal(err)
+	}
+
+	b := topology.NewBuilder("lossy", 9)
+	b.Ackers(1)
+	b.Source("src", workload.LogicSeqSource, 1)
+	b.Node("sink", workload.LogicSeqChecker, 1).ShuffleFrom("src")
+	l, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Submit(l, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	var s worker.Stats
+	waitCond(t, 30*time.Second, "every tree completed or given up", func() bool {
+		ws := c.WorkersOf("lossy", "src")
+		if len(ws) != 1 {
+			return false
+		}
+		s = ws[0].StatsSnapshot()
+		return s.Completed+s.GaveUp >= n
+	})
+	if s.Completed+s.GaveUp != n {
+		t.Fatalf("completed %d + gave up %d, want %d emitted", s.Completed, s.GaveUp, n)
+	}
+	if s.Replayed == 0 || c.netem.Dropped() == 0 {
+		t.Fatalf("replayed %d trees with %d frames dropped; want the loss to force replays", s.Replayed, c.netem.Dropped())
+	}
+	t.Logf("completed %d, gave up %d, replayed %d, frames dropped %d", s.Completed, s.GaveUp, s.Replayed, c.netem.Dropped())
 }
 
 func TestFaultDetectorKeepsPipelineAlive(t *testing.T) {

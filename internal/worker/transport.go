@@ -2,6 +2,7 @@ package worker
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -23,7 +24,10 @@ var errTransportClosed = errors.New("worker: transport closed")
 type Transport interface {
 	// Send delivers one tuple to the destination workers. A broadcast
 	// destination asks for network-level replication where available;
-	// transports without it fall back to per-destination sends.
+	// transports without it fall back to per-destination sends. Send keeps
+	// nothing of t.Values once it returns: a transport that holds a tuple
+	// past the call (staged, queued or handed to a receiver) holds a copy,
+	// so the caller may reuse the slice (the worker's acker batches do).
 	Send(d Destination, t tuple.Tuple) error
 	// SendControl sends a tuple to the SDN controller (METRIC_RESP). On
 	// transports without a controller path it is a no-op.
@@ -120,8 +124,10 @@ func (n *ChanNetwork) lookup(id topology.WorkerID) *ChanTransport {
 	return n.peers[id]
 }
 
-// Send implements Transport.
+// Send implements Transport. The receivers get the tuple by reference, so
+// its values are copied first: the sender may reuse in.Values on return.
 func (t *ChanTransport) Send(d Destination, in tuple.Tuple) error {
+	in.Values = slices.Clone(in.Values)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.stats.Serializations++ // channel transport "serializes" once

@@ -70,6 +70,9 @@ type Stats struct {
 	Emitted   uint64
 	Completed uint64
 	Replayed  uint64
+	// GaveUp counts tracked source tuples dropped after their last replay
+	// attempt expired: each emitted tree ends Completed or GaveUp.
+	GaveUp    uint64
 	Filtered  uint64
 	QueueLen  int
 	ProcNanos uint64
@@ -126,7 +129,8 @@ const DefaultFlushDeadline = time.Millisecond
 //   - per iteration: the stop/fail/hang checks (atomic loads), one Recv, one
 //     wall-clock read in front of a non-empty batch and one after it; the
 //     second drives the D flush gate, replay scan and stats push, charges the
-//     batch to procNanos and is followed by publishTallies.
+//     batch to procNanos and is followed by publishTallies. The staged acker
+//     records leave then too, one tuple per acker (flushAcks).
 //   - per coarse-clock tick (clock.CoarseGranularity) seen inside a batch:
 //     onTick — one wall-clock read for the 2·D flush gate, and publishTallies,
 //     so another goroutine's view of Processed/Emitted is never more than one
@@ -137,6 +141,25 @@ const (
 	boltIdleWait   = time.Millisecond
 	pacedFor       = 10 * time.Millisecond
 )
+
+// Acker records travel in batches. An AckStream tuple carries k ≥ 1 records
+// of [kind, root, xor, src] (4·k fields); sendAck stages each record for the
+// acker its root routes to, and flushAcks sends every acker's staged records
+// as one tuple: at the end of every iteration, ahead of every transport flush
+// the loop makes (flushIfDue) and on exit, so a record makes every flush a
+// data tuple emitted beside it would make. A coarse tick alone does not send
+// them: it would split the batch, and the transport would stage the pieces
+// all the same. maxAckRecords caps a batch at about 2.3 KB encoded, well
+// inside one frame, so a batch never needs the segmenting path.
+const maxAckRecords = 64
+
+// ackBatch is one acker's staged records. vals is reused batch after batch,
+// which the Transport contract allows: Send keeps nothing of a tuple's
+// Values once it returns.
+type ackBatch struct {
+	dest Destination
+	vals []tuple.Value
+}
 
 // errStopping aborts a batch when Stop arrives during the rate-limit wait; the
 // rest stays undispatched, like whatever is still queued in the transport.
@@ -176,22 +199,26 @@ type Worker struct {
 	lastFlush time.Time // last loop flush (flushIfDue)
 
 	// Loop-goroutine state (see the loop comment): running totals behind
-	// processed and emitted, the coarse-clock value last acted on, rate-limit
-	// waits inside the current batch, EmitOn's and send's routing scratch
-	// (separate: an acked source sends its INIT between routing a data tuple
-	// and sending it), and the last stream found subscribed.
-	nProcessed, nEmitted uint64
-	lastTick             int64
-	throttled            time.Duration
-	dests, sendDests     []Destination
-	lastSub              tuple.StreamID
+	// processed, emitted and gaveUp, the coarse-clock value last acted on,
+	// rate-limit waits inside the current batch, EmitOn's and the framework's
+	// routing scratch (separate: an acked source routes its INIT between
+	// routing a data tuple and sending it), and the last stream found
+	// subscribed.
+	nProcessed, nEmitted, nGaveUp uint64
+	lastTick                      int64
+	throttled                     time.Duration
+	dests, sendDests              []Destination
+	lastSub                       tuple.StreamID
 
-	// Framework-layer state for guaranteed processing.
+	// Framework-layer state for guaranteed processing: the record sendAck
+	// routes and the acker batches it is staged in (see maxAckRecords).
 	rng     *rand.Rand
 	curRoot uint64
 	curXor  uint64
 	anchor  bool
 	pending map[uint64]*pendingEntry
+	ackRec  [4]tuple.Value
+	acks    []ackBatch
 
 	// CompleteLatencies records end-to-end tuple latency observed at the
 	// source when acking is enabled (Figs 8c/8d are its CDF).
@@ -201,6 +228,7 @@ type Worker struct {
 	emitted   atomic.Uint64
 	completed atomic.Uint64
 	replayed  atomic.Uint64
+	gaveUp    atomic.Uint64
 	filtered  atomic.Uint64
 	procNanos atomic.Uint64
 
@@ -333,6 +361,7 @@ func (w *Worker) StatsSnapshot() Stats {
 		Emitted:   w.emitted.Load(),
 		Completed: w.completed.Load(),
 		Replayed:  w.replayed.Load(),
+		GaveUp:    w.gaveUp.Load(),
 		Filtered:  w.filtered.Load(),
 		QueueLen:  w.tr.InQueueLen(),
 		ProcNanos: w.procNanos.Load(),
@@ -342,6 +371,7 @@ func (w *Worker) StatsSnapshot() Stats {
 func (w *Worker) run() {
 	var failure error
 	defer func() {
+		w.flushAcks()
 		w.publishTallies()
 		_ = w.comp.Close(w.ctx)
 		_ = w.tr.Flush()
@@ -434,11 +464,12 @@ func (w *Worker) run() {
 		if w.nProcessed != executed {
 			w.procNanos.Add(uint64(now.Sub(batchStart) - w.throttled))
 		}
-		w.flushIfDue(now, 1)
 		if w.cfg.Acking && w.cfg.Source && now.Sub(lastReplayScan) >= w.cfg.AckTimeout/4 {
 			w.replayExpired(now)
 			lastReplayScan = now
 		}
+		w.flushAcks()
+		w.flushIfDue(now, 1)
 		w.publishTallies()
 		if w.cfg.StatsInterval > 0 && now.Sub(lastStats) >= w.cfg.StatsInterval {
 			w.pushStats()
@@ -470,9 +501,10 @@ func (w *Worker) run() {
 // burst that ends in time leave whole at the batch boundary while a batch
 // that overstays (slow logic, the chaos Slow hook) is flushed all the same.
 // There a staged tuple waits under two deadlines plus one coarse tick plus
-// one Execute.
+// one Execute. Staged acker records go to the transport ahead of the flush.
 func (w *Worker) flushIfDue(now time.Time, n int) {
 	if every := w.cfg.FlushInterval; every > 0 && now.Sub(w.lastFlush) >= time.Duration(n)*every {
+		w.flushAcks()
 		_ = w.tr.Flush()
 		w.lastFlush = now
 	}
@@ -488,13 +520,16 @@ func (w *Worker) onTick(coarse int64) {
 }
 
 // publishTallies makes the loop's running totals visible to other goroutines
-// (StatsSnapshot). The loop goroutine is the only writer of both counters.
+// (StatsSnapshot). The loop goroutine is the only writer of these counters.
 func (w *Worker) publishTallies() {
 	if w.processed.Load() != w.nProcessed {
 		w.processed.Store(w.nProcessed)
 	}
 	if w.emitted.Load() != w.nEmitted {
 		w.emitted.Store(w.nEmitted)
+	}
+	if w.gaveUp.Load() != w.nGaveUp {
+		w.gaveUp.Store(w.nGaveUp)
 	}
 }
 
@@ -617,8 +652,8 @@ func (w *Worker) EmitOn(s tuple.StreamID, values ...tuple.Value) {
 	}
 }
 
-// send routes and sends a tuple the framework produced itself (acker
-// traffic, replays) through its own scratch, leaving EmitOn's intact.
+// send routes and sends a tuple the framework produced itself (a replay)
+// through its own scratch, leaving EmitOn's intact.
 func (w *Worker) send(t tuple.Tuple) {
 	w.sendDests = w.rt.routeInto(w.sendDests[:0], t)
 	for _, d := range w.sendDests {
@@ -627,24 +662,70 @@ func (w *Worker) send(t tuple.Tuple) {
 	}
 }
 
-// sendAck emits an acker tuple: kind 0 = INIT (with source worker), kind 1
-// = ACK. Acker tuples travel on tuple.AckStream and are routed by the
-// root's hash so a given tuple tree always meets the same acker.
-func (w *Worker) sendAck(kind int64, root, xor, src uint64) {
-	at := tuple.OnStream(tuple.AckStream,
-		tuple.Int(kind), tuple.Int(int64(root)), tuple.Int(int64(xor)), tuple.Int(int64(src)))
-	w.send(at)
+// ackTuple builds the one kind of acker tuple: records of [kind, root, xor,
+// src], four fields each.
+func ackTuple(records []tuple.Value) tuple.Tuple {
+	return tuple.OnStream(tuple.AckStream, records...)
 }
 
-func (w *Worker) handleComplete(t tuple.Tuple) {
-	root := uint64(t.Field(1).AsInt())
-	e := w.pending[root]
-	if e == nil {
-		return
+// sendAck stages an acker record: kind 0 = INIT (with source worker), kind
+// 1 = ACK. The record is routed by its root's hash, so a given tuple tree
+// always meets the same acker, and joins that acker's batch.
+func (w *Worker) sendAck(kind int64, root, xor, src uint64) {
+	w.ackRec = [4]tuple.Value{tuple.Int(kind), tuple.Int(int64(root)), tuple.Int(int64(xor)), tuple.Int(int64(src))}
+	w.sendDests = w.rt.routeInto(w.sendDests[:0], ackTuple(w.ackRec[:]))
+	for _, d := range w.sendDests {
+		b := w.ackBatchFor(d)
+		b.vals = append(b.vals, w.ackRec[:]...)
+		if len(b.vals) >= 4*maxAckRecords {
+			w.sendAckBatch(b)
+		}
 	}
-	delete(w.pending, root)
-	w.completed.Add(1)
-	w.CompleteLatencies.Record(time.Since(e.emitted))
+}
+
+// ackBatchFor finds the staging batch of d's acker, adding one the first
+// time this worker stages a record for it.
+func (w *Worker) ackBatchFor(d Destination) *ackBatch {
+	id := d.Workers[0]
+	for i := range w.acks {
+		if w.acks[i].dest.Workers[0] == id {
+			return &w.acks[i]
+		}
+	}
+	w.acks = append(w.acks, ackBatch{dest: d, vals: make([]tuple.Value, 0, 4*maxAckRecords)})
+	return &w.acks[len(w.acks)-1]
+}
+
+// flushAcks sends every acker's staged records, one tuple per acker.
+func (w *Worker) flushAcks() {
+	for i := range w.acks {
+		if len(w.acks[i].vals) > 0 {
+			w.sendAckBatch(&w.acks[i])
+		}
+	}
+}
+
+func (w *Worker) sendAckBatch(b *ackBatch) {
+	_ = w.tr.Send(b.dest, ackTuple(b.vals))
+	w.nEmitted++
+	b.vals = b.vals[:0]
+}
+
+// handleComplete retires the trees a COMPLETE tuple names: [src, root…].
+func (w *Worker) handleComplete(t tuple.Tuple) {
+	now := time.Now()
+	var done uint64
+	for i := 1; i < t.Len(); i++ {
+		root := uint64(t.Values[i].AsInt())
+		e := w.pending[root]
+		if e == nil {
+			continue
+		}
+		delete(w.pending, root)
+		done++
+		w.CompleteLatencies.Record(now.Sub(e.emitted))
+	}
+	w.completed.Add(done)
 }
 
 func (w *Worker) replayExpired(now time.Time) {
@@ -655,6 +736,7 @@ func (w *Worker) replayExpired(now time.Time) {
 		}
 		delete(w.pending, root)
 		if e.attempts+1 >= maxAttempts {
+			w.nGaveUp++
 			continue
 		}
 		w.replayed.Add(1)
@@ -768,6 +850,7 @@ func (w *Worker) sendMetrics(token uint64) {
 		QueueLen:  s.QueueLen,
 		Processed: s.Processed,
 		Emitted:   s.Emitted,
+		GaveUp:    s.GaveUp,
 		Dropped:   w.tr.Stats().Dropped,
 		ProcNanos: s.ProcNanos,
 	}

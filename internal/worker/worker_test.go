@@ -144,20 +144,22 @@ func (a *testAcker) Execute(ctx *Context, in tuple.Tuple) error {
 	if in.Stream != tuple.AckStream {
 		return nil
 	}
-	root := uint64(in.Field(1).AsInt())
-	e := a.pending[root]
-	if e == nil {
-		e = &ackEntry{}
-		a.pending[root] = e
-	}
-	e.xor ^= uint64(in.Field(2).AsInt())
-	if in.Field(0).AsInt() == 0 {
-		e.init = true
-		e.src = in.Field(3).AsInt()
-	}
-	if e.init && e.xor == 0 {
-		delete(a.pending, root)
-		ctx.EmitOn(tuple.CompleteStream, tuple.Int(e.src), tuple.Int(int64(root)))
+	for rec := in.Values; len(rec) >= 4; rec = rec[4:] {
+		root := uint64(rec[1].AsInt())
+		e := a.pending[root]
+		if e == nil {
+			e = &ackEntry{}
+			a.pending[root] = e
+		}
+		e.xor ^= uint64(rec[2].AsInt())
+		if rec[0].AsInt() == 0 {
+			e.init = true
+			e.src = rec[3].AsInt()
+		}
+		if e.init && e.xor == 0 {
+			delete(a.pending, root)
+			ctx.EmitOn(tuple.CompleteStream, tuple.Int(e.src), tuple.Int(int64(root)))
+		}
 	}
 	return nil
 }
@@ -364,8 +366,9 @@ func TestSignalReachesApplicationLayer(t *testing.T) {
 
 // stagingTransport holds every Send until Flush, like a transport whose
 // batch threshold is out of reach: only the worker loop's flushes (or Stop's
-// final flush) can move a tuple. flushes records the size of every non-empty
-// Flush; read it only once the worker has stopped.
+// final flush) can move a tuple. It stages a copy of each tuple's values, as
+// the Transport contract requires. flushes records the size of every
+// non-empty Flush; read it only once the worker has stopped.
 type stagingTransport struct {
 	*ChanTransport
 	staged  []stagedSend
@@ -378,6 +381,7 @@ type stagedSend struct {
 }
 
 func (s *stagingTransport) Send(d Destination, in tuple.Tuple) error {
+	in.Values = slices.Clone(in.Values)
 	s.staged = append(s.staged, stagedSend{d, in})
 	return nil
 }
@@ -797,17 +801,46 @@ func TestStatsVisibleInsideSlowBatch(t *testing.T) {
 	})
 }
 
+// sendLog records the destination, stream and field count of every Send and
+// keeps nothing of the tuple, so recording allocates nothing once sends has
+// grown. Read it only once the worker has stopped, or when no loop runs.
+type sendLog struct {
+	Transport
+	sends []sent
+}
+
+type sent struct {
+	d      Destination
+	stream tuple.StreamID
+	fields int
+}
+
+func (s *sendLog) Send(d Destination, in tuple.Tuple) error {
+	s.sends = append(s.sends, sent{d, in.Stream, len(in.Values)})
+	return nil
+}
+
+// ackRoute sends acker records to worker to, by their root.
+func ackRoute(to topology.WorkerID) topology.Route {
+	return topology.Route{
+		Edge:     topology.EdgeSpec{From: "*", To: "__acker", Policy: topology.Fields, HashFields: []int{1}, Stream: tuple.AckStream},
+		NextHops: []topology.WorkerID{to},
+	}
+}
+
 // TestEmitPathAllocFree: emitting on the unacked path allocates nothing —
 // the route table is a snapshot read without a lock and destinations land in
 // a scratch slice the worker owns. The acked-source case pins the one hazard
-// of that scratch: the INIT an acked source sends between routing a data
-// tuple and sending it must not overwrite the data tuple's destinations.
+// of that scratch: the INIT an acked source routes between routing a data
+// tuple and sending it must not overwrite the data tuple's destinations; and
+// it pins that the INIT is staged, not sent, and that staging and sending a
+// record batch allocate nothing.
 func TestEmitPathAllocFree(t *testing.T) {
-	// stagingTransport never flushes here (no loop runs), so staged holds the
-	// sends of the emissions since it was last cut back.
-	newWorker := func(t *testing.T, cfg Config) (*Worker, *stagingTransport) {
+	// No loop runs here, so sends holds the sends of the emissions since it
+	// was last cut back.
+	newWorker := func(t *testing.T, cfg Config) (*Worker, *sendLog) {
 		t.Helper()
-		tr := &stagingTransport{ChanTransport: NewChanNetwork().Attach(1)}
+		tr := &sendLog{Transport: NewChanNetwork().Attach(1)}
 		cfg.App, cfg.ID, cfg.Node, cfg.Logic = 1, 1, "emitter", "test/forwarder"
 		if cfg.Source {
 			cfg.Logic = "test/source"
@@ -832,16 +865,16 @@ func TestEmitPathAllocFree(t *testing.T) {
 			w, tr := newWorker(t, Config{Routes: []topology.Route{{Edge: c.edge, NextHops: hops}}})
 			vals := []tuple.Value{tuple.String("key"), tuple.Int(7)}
 			allocs := testing.AllocsPerRun(1000, func() {
-				tr.staged = tr.staged[:0]
+				tr.sends = tr.sends[:0]
 				w.Emit(vals...)
 			})
 			if allocs != 0 {
 				t.Fatalf("Emit allocates %.2f objects per tuple, want 0", allocs)
 			}
-			if len(tr.staged) != 1 {
-				t.Fatalf("sends = %+v, want one", tr.staged)
+			if len(tr.sends) != 1 {
+				t.Fatalf("sends = %+v, want one", tr.sends)
 			}
-			d, want := tr.staged[0].d, 1
+			d, want := tr.sends[0].d, 1
 			if c.broadcast {
 				want = len(hops)
 			}
@@ -852,29 +885,179 @@ func TestEmitPathAllocFree(t *testing.T) {
 	}
 	t.Run("acked source", func(t *testing.T) {
 		w, tr := newWorker(t, Config{Source: true, Acking: true, Routes: []topology.Route{
-			dataRoute(2, topology.Shuffle),
-			{
-				Edge:     topology.EdgeSpec{Policy: topology.Fields, HashFields: []int{1}, Stream: tuple.AckStream},
-				NextHops: []topology.WorkerID{3},
-			},
+			dataRoute(2, topology.Shuffle), ackRoute(3),
 		}})
 		w.Emit(tuple.Int(5))
-		if len(tr.staged) != 2 {
-			t.Fatalf("sends = %+v, want INIT and data", tr.staged)
+		if len(tr.sends) != 1 || tr.sends[0].stream != tuple.DefaultStream || tr.sends[0].d.Workers[0] != 2 {
+			t.Fatalf("Emit sent %+v, want the data tuple alone, to worker 2", tr.sends)
 		}
-		for _, s := range tr.staged {
-			want := topology.WorkerID(2)
-			if s.in.Stream == tuple.AckStream {
-				want = 3
-			}
-			if len(s.d.Workers) != 1 || s.d.Workers[0] != want {
-				t.Fatalf("stream %d went to %v, want worker %d", s.in.Stream, s.d.Workers, want)
-			}
+		w.flushAcks() // the end of the loop iteration
+		if len(tr.sends) != 2 {
+			t.Fatalf("sends = %+v, want the data tuple, then the INIT", tr.sends)
 		}
-		if tr.staged[0].in.Stream == tr.staged[1].in.Stream {
-			t.Fatalf("sends = %+v, want one INIT and one data tuple", tr.staged)
+		if init := tr.sends[1]; init.stream != tuple.AckStream || init.fields != 4 ||
+			len(init.d.Workers) != 1 || init.d.Workers[0] != 3 {
+			t.Fatalf("INIT send = %+v, want one 4-field record to worker 3", init)
+		}
+		allocs := testing.AllocsPerRun(1000, func() {
+			tr.sends = tr.sends[:0]
+			w.sendAck(1, 7, 7, 0)
+			w.flushAcks()
+		})
+		if allocs != 0 {
+			t.Fatalf("staging and sending a record allocates %.2f objects, want 0", allocs)
+		}
+		if len(tr.sends) != 1 || tr.sends[0].stream != tuple.AckStream || tr.sends[0].fields != 4 {
+			t.Fatalf("sends = %+v, want one record batch", tr.sends)
 		}
 	})
+}
+
+// burstSpout emits n tuples from its first Next and nothing after.
+type burstSpout struct{ n int }
+
+func (s *burstSpout) Open(*Context) error  { return nil }
+func (s *burstSpout) Close(*Context) error { return nil }
+func (s *burstSpout) Next(ctx *Context) (bool, error) {
+	if s.n == 0 {
+		return false, nil
+	}
+	for ; s.n > 0; s.n-- {
+		ctx.Emit(tuple.Int(int64(s.n)))
+	}
+	return true, nil
+}
+
+// anchoredFeed queues n tracked tuples (roots 1…n) for worker to, so that its
+// first Recv takes them as one batch.
+func anchoredFeed(net *ChanNetwork, to topology.WorkerID, n int) {
+	feed := net.Attach(99)
+	for i := 1; i <= n; i++ {
+		tp := tuple.New(tuple.Int(int64(i)))
+		tp.Root, tp.ID = uint64(i), uint64(i)
+		_ = feed.Send(Destination{Workers: []topology.WorkerID{to}}, tp)
+	}
+}
+
+// TestAckRecordsBatchPerIteration: acker records leave once per loop
+// iteration, at most maxAckRecords to a tuple, and Emitted counts each batch
+// as one tuple. A source emitting 200 tuples in one Next sends ⌈200/64⌉ = 4
+// AckStream tuples carrying the 200 INITs; a bolt acking the 256 inputs of
+// one Recv sends 4 carrying the 256 ACKs.
+func TestAckRecordsBatchPerIteration(t *testing.T) {
+	check := func(t *testing.T, tr *sendLog, records int) {
+		t.Helper()
+		var batches, fields int
+		for _, s := range tr.sends {
+			if s.stream != tuple.AckStream {
+				continue
+			}
+			if s.fields == 0 || s.fields%4 != 0 || s.fields > 4*maxAckRecords || s.d.Workers[0] != 3 {
+				t.Fatalf("ack send %+v: want 1…%d whole records for worker 3", s, maxAckRecords)
+			}
+			batches++
+			fields += s.fields
+		}
+		if want := (records + maxAckRecords - 1) / maxAckRecords; batches != want || fields != 4*records {
+			t.Fatalf("%d ack tuples carrying %d records, want %d carrying %d", batches, fields/4, want, records)
+		}
+	}
+	t.Run("source", func(t *testing.T) {
+		const n = 200
+		tr := &sendLog{Transport: NewChanNetwork().Attach(1)}
+		src := startWorker(t, Config{
+			App: 1, ID: 1, Node: "src", Source: true, Acking: true, AckTimeout: time.Hour,
+			Routes: []topology.Route{dataRoute(2, topology.Shuffle), ackRoute(3)},
+		}, &burstSpout{n: n}, tr)
+		waitFor(t, 5*time.Second, func() bool { return src.StatsSnapshot().Emitted == n+4 })
+		src.Stop()
+		check(t, tr, n)
+	})
+	t.Run("bolt", func(t *testing.T) {
+		const n = 256
+		net := NewChanNetwork()
+		tr := &sendLog{Transport: net.Attach(2)}
+		anchoredFeed(net, 2, n)
+		w := startWorker(t, Config{
+			App: 1, ID: 2, Node: "sink", Acking: true, FlushInterval: time.Hour,
+			Routes: []topology.Route{ackRoute(3)},
+		}, &terminal{}, tr)
+		waitFor(t, 5*time.Second, func() bool { return w.StatsSnapshot().Emitted == 4 })
+		w.Stop()
+		check(t, tr, n)
+	})
+}
+
+// TestAckRecordsLeaveWithTheirBatch: a throttled acked bolt stages the ACK of
+// every tuple it executes. With a flush deadline the records reach the acker
+// while the bolt waits for its next token; with the deadline off they leave
+// on Stop.
+func TestAckRecordsLeaveWithTheirBatch(t *testing.T) {
+	const n = 5
+	// records drains the acker's inbox and counts the records it received.
+	records := func(acker *ChanTransport) int {
+		got := 0
+		for {
+			ts, _ := acker.Recv(256, 0)
+			if len(ts) == 0 {
+				return got
+			}
+			for _, a := range ts {
+				got += a.Len() / 4
+			}
+		}
+	}
+	start := func(t *testing.T, deadline time.Duration) (*Worker, *ChanTransport) {
+		net := NewChanNetwork()
+		acker := net.Attach(3)
+		in := net.Attach(2)
+		anchoredFeed(net, 2, n)
+		w := startWorker(t, Config{
+			App: 1, ID: 2, Node: "sink", Acking: true, RateLimit: 20, FlushInterval: deadline,
+			Routes: []topology.Route{ackRoute(3)},
+		}, &terminal{}, &stagingTransport{ChanTransport: in})
+		return w, acker
+	}
+	t.Run("awaitToken", func(t *testing.T) {
+		w, acker := start(t, 0)
+		got := 0
+		waitFor(t, 5*time.Second, func() bool { got += records(acker); return got > 0 })
+		if done := w.StatsSnapshot().Processed; done >= n {
+			t.Fatalf("first record arrived with all %d tuples processed; want it out before a token wait", done)
+		}
+		w.Stop()
+		if got += records(acker); uint64(got) != w.StatsSnapshot().Processed {
+			t.Fatalf("acker received %d records for %d processed tuples", got, w.StatsSnapshot().Processed)
+		}
+	})
+	t.Run("Stop", func(t *testing.T) {
+		w, acker := start(t, -1)
+		waitFor(t, 5*time.Second, func() bool { return w.StatsSnapshot().Processed >= 2 })
+		if got := records(acker); got != 0 {
+			t.Fatalf("%d records left with every flush off", got)
+		}
+		w.Stop()
+		if got := records(acker); uint64(got) != w.StatsSnapshot().Processed {
+			t.Fatalf("acker received %d records on Stop for %d processed tuples", got, w.StatsSnapshot().Processed)
+		}
+	})
+}
+
+// TestChanTransportDoesNotAliasValues: Send keeps nothing of the tuple's
+// values, so a sender may reuse the slice as soon as Send returns.
+func TestChanTransportDoesNotAliasValues(t *testing.T) {
+	net := NewChanNetwork()
+	src, dst := net.Attach(1), net.Attach(2)
+	vals := []tuple.Value{tuple.Int(1), tuple.Int(2)}
+	_ = src.Send(Destination{Workers: []topology.WorkerID{2}}, tuple.New(vals...))
+	vals[0], vals[1] = tuple.Int(3), tuple.Int(4)
+	got, err := dst.Recv(1, time.Second)
+	if err != nil || len(got) != 1 {
+		t.Fatalf("Recv = %v, %v", got, err)
+	}
+	if a, b := got[0].Field(0).AsInt(), got[0].Field(1).AsInt(); a != 1 || b != 2 {
+		t.Fatalf("received (%d, %d), want (1, 2): the sender's reuse reached the receiver", a, b)
+	}
 }
 
 // TestStopBehindRateLimit: Stop must not wait out the input rate limiter. A
@@ -1031,6 +1214,22 @@ func TestReplayWhenAckerUnreachable(t *testing.T) {
 	// The sink receives originals plus replays.
 	if sink.count() < 5 {
 		t.Fatalf("sink got %d", sink.count())
+	}
+	// Each tuple is replayed four times, then given up on and counted.
+	waitFor(t, 10*time.Second, func() bool { return src.StatsSnapshot().GaveUp == 5 })
+	if got := src.StatsSnapshot().Replayed; got != 20 {
+		t.Fatalf("replayed %d, want 4 replays of each of 5 tuples", got)
+	}
+	_ = net.Attach(99).Send(Destination{Workers: []topology.WorkerID{1}},
+		control.Encode(control.KindMetricReq, control.MetricReq{Token: 1}))
+	select {
+	case resp := <-net.Control:
+		var mr control.MetricResp
+		if err := control.DecodePayload(resp, &mr); err != nil || mr.GaveUp != 5 {
+			t.Fatalf("METRIC_RESP %+v (%v), want GaveUp 5", mr, err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no METRIC_RESP")
 	}
 }
 

@@ -75,6 +75,17 @@ if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
 	echo "a second controller attachment or a standalone mode (see above)" >&2
 	exit 1
 fi
+# One way to build an acker tuple: k records of [kind, root, xor, src], built
+# by the worker's ackTuple, through which sendAck routes a record and
+# sendAckBatch sends a batch. (bench/ is benchmark-owned; its acker probe
+# feeds single-record tuples, the k = 1 case.)
+if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build --exclude-dir=bench \
+	'OnStream(tuple\.AckStream' . | grep -v '^\./internal/worker/worker\.go:' ||
+	awk '/^func /{fn=$0} /OnStream\(tuple\.AckStream/{print FILENAME":"FNR": "fn}' internal/worker/worker.go |
+	grep -v ': func ackTuple('; then
+	echo "an acker tuple built outside the worker's ackTuple (see above)" >&2
+	exit 1
+fi
 # A tuple is encoded where it leaves and decoded where it lies: no encode
 # scratch and no buffer made between a tuple and its frame, in either
 # direction (stage and decodeFrame are Send's and Recv's per-tuple halves).
@@ -123,6 +134,9 @@ go test -fuzz '^FuzzFrameToTuples$' -fuzztime 5s -run '^FuzzFrameToTuples$' ./in
 # The tunnel's length-prefixed stream framing.
 go test -fuzz '^FuzzTunnelFrame$' -fuzztime 5s -run '^FuzzTunnelFrame$' ./internal/core/
 go test -fuzz '^FuzzDecodeControl$' -fuzztime 5s -run '^FuzzDecodeControl$' ./internal/control/
+# Ack tuples arrive off the wire: any field count or kind, against a
+# one-record-at-a-time reference.
+go test -fuzz '^FuzzAckerExecute$' -fuzztime 5s -run '^FuzzAckerExecute$' ./internal/ack/
 # The JSON bodies /api/v1 takes off the socket: scenario specs, and chaos
 # specs (a plan's events are the same Spec, decoded and validated alike).
 go test -fuzz '^FuzzParseSpec$' -fuzztime 5s -run '^FuzzParseSpec$' ./internal/scenario/
