@@ -356,4 +356,3 @@ func (t *SDNTransport) Stats() TransportStats {
 func (t *SDNTransport) Close() error { return nil }
 
 var _ Transport = (*SDNTransport)(nil)
-var _ Transport = (*ChanTransport)(nil)

@@ -85,40 +85,41 @@ const DefaultFlushDeadline = time.Millisecond
 // The worker goroutine waits in one of two places: a paced source dozes on
 // its kernel timer (clock.Dozer); everything else waits in Transport.Recv,
 // which wakes early on an incoming frame. After an iteration that did work
-// it polls (wait 0). A source keeps polling until idleSpin has passed since
-// it last did work: blocking on the first empty Next would turn a paced
-// source's emissions into bursts one idle wait apart. The budget is time,
-// read off the clock the loop reads anyway, because what it has to outlast is
-// the gap between two due tuples — an iteration count buys less spin every
-// time an iteration gets cheaper (64 of them were ~20 µs when an empty
-// iteration cost ~300 ns). It is judged by the previous iteration's clock
-// read, so that a whole Next has come back empty since: a goroutine
-// descheduled inside an iteration (GC pause, preemption) would otherwise take
-// the time it lost for idleness and go to sleep on due tuples. Past the
-// budget:
-//   - a source that did work within pacedFor dozes sourceIdleWait, then
-//     polls. A Go timer that short ends about a millisecond late once the
-//     process is idle (the runtime's epoll_pwait takes whole milliseconds),
-//     so a 200 µs Recv wait held every due tuple up to ~1 ms; the dozer's
-//     timerfd ends that epoll_pwait on time and holds no thread.
-//     A frame sent to a dozing source (a control tuple, a COMPLETE) waits at
-//     most one doze, about 200 µs.
+// it polls (wait 0). After one that did none:
+//   - a source that did work within pacedFor flushes and dozes
+//     sourceIdleWait at once, then polls. It does not poll for its next due
+//     tuple first: with due tuples a few µs apart such a poll never ends, and
+//     its clock reads were most of what a paced source's core did (39 % of
+//     the CPU samples of fwd_local at a fifth of saturation, 2 vCPUs). A Go
+//     timer that short ends about a millisecond late once the process is
+//     idle (the runtime's epoll_pwait takes whole milliseconds); the dozer's
+//     timerfd ends that epoll_pwait on time and holds no thread. A frame sent
+//     to a dozing source (a control tuple, a COMPLETE) waits at most one
+//     doze, about 200 µs.
 //   - a source idle for pacedFor waits in Recv for sourceIdleWait, a bolt for
 //     boltIdleWait. The backoff keeps idle sources cheap: a doze costs ~5 µs
 //     of CPU, and eight idle sources that dozed forever used 0.23 cores,
 //     against 0.03 waiting in Recv.
 //
+// Dozing costs a paced source neither its batches nor its rate. The flush
+// before the doze makes every doze boundary a batch boundary: what falls due
+// during a doze leaves as one burst when the doze ends, at most ~200 µs and
+// on average ~100 µs after it fell due — sooner than in a frame that has to
+// fill or wait out D (1 ms at 100 k tuples/s). A rate-limited source keeps
+// its rate: the limiter's burst is 10 ms of tokens, which a doze refills
+// without overflowing.
+//
 // A staged tuple never waits out a timer. Two things move it to the wire:
 //   - the transport's batch threshold, owned by the transport;
 //   - the loop's flush before a wait (flushIfDue with n = 0), wherever it is
 //     about to block: run's doze or idle wait and awaitToken's rate-limit
-//     wait. It runs on the block path only, never on an empty iteration
-//     inside idleSpin, so a paced source still fills frames.
+//     wait. It runs on the block path only, never after an iteration that
+//     did work, so a loop that keeps working still fills frames.
 //
-// The flush deadline D bounds only a loop that never waits: a source paced
-// inside idleSpin, or a long batch (see flushIfDue). Go timers below a
-// millisecond return after about a millisecond in an idle process, so a
-// sleep with output staged would hold each hop's tuples that long.
+// The flush deadline D bounds only a loop that never waits: a source with a
+// tuple due every iteration, or a long batch (see flushIfDue). Go timers
+// below a millisecond return after about a millisecond in an idle process,
+// so a sleep with output staged would hold each hop's tuples that long.
 //
 // What the loop pays, and how often:
 //   - per tuple (execute, dispatch, EmitOn, Router.routeInto, Send): plain
@@ -136,7 +137,6 @@ const DefaultFlushDeadline = time.Millisecond
 //     so another goroutine's view of Processed/Emitted is never more than one
 //     tick plus one Execute old however long the batch runs.
 const (
-	idleSpin       = 20 * time.Microsecond
 	sourceIdleWait = 200 * time.Microsecond
 	boltIdleWait   = time.Millisecond
 	pacedFor       = 10 * time.Millisecond
@@ -401,8 +401,7 @@ func (w *Worker) run() {
 		doze = clock.NewDozer()
 		defer doze.Close()
 	}
-	// When the last iteration that did work ended, and the last iteration.
-	lastWork, lastIter := w.lastFlush, w.lastFlush
+	lastWork := w.lastFlush // when the last iteration that did work ended
 	wait := time.Duration(0)
 	for {
 		if w.stopped.Load() { // set before stopCh closes
@@ -478,9 +477,7 @@ func (w *Worker) run() {
 		switch {
 		case worked:
 			lastWork, wait = now, 0
-		case spout != nil && lastIter.Sub(lastWork) < idleSpin:
-			wait = 0
-		case spout != nil && lastIter.Sub(lastWork) < pacedFor:
+		case spout != nil && now.Sub(lastWork) < pacedFor:
 			w.flushIfDue(now, 0)
 			doze.Sleep(sourceIdleWait)
 			wait = 0
@@ -488,7 +485,6 @@ func (w *Worker) run() {
 			w.flushIfDue(now, 0)
 			wait = idleWait
 		}
-		lastIter = now
 	}
 }
 
@@ -496,7 +492,7 @@ func (w *Worker) run() {
 // last flush; a negative deadline turns it off. The loop asks with n = 0
 // wherever it is about to block, so no tuple waits out a timer. In a loop
 // that does not wait it is the time bound on staging: n = 1 between batches
-// bounds a source pacing itself inside idleSpin, and n = 2 inside a batch, at
+// bounds a source with a tuple due every iteration, and n = 2 inside a batch, at
 // the first executed tuple after each coarse-clock tick (onTick), lets a
 // burst that ends in time leave whole at the batch boundary while a batch
 // that overstays (slow logic, the chaos Slow hook) is flushed all the same.

@@ -62,6 +62,14 @@ if grep -n 'capWait' $(ls internal/worker/*.go | grep -v '_test\.go$') ||
 	echo "internal/worker: a timer that could hold staged tuples (see above)" >&2
 	exit 1
 fi
+# A paced source waits between due tuples in one place, its doze, and spends
+# no poll budget first: with due tuples a few µs apart a spin never ran out,
+# and its clock reads were most of a paced source's CPU.
+if [ "$(grep -c 'doze\.Sleep(' internal/worker/worker.go)" != 1 ] ||
+	grep -n 'idleSpin' internal/worker/worker.go; then
+	echo "internal/worker/worker.go: want exactly one doze.Sleep( and no idleSpin (see above)" >&2
+	exit 1
+fi
 # One flow cache, one way to configure the switch.
 if grep -inE 'megaflow|Disable[A-Za-z]*Cache|Without[A-Za-z]*Cache|optionFunc' \
 	$(ls internal/switchfabric/*.go | grep -v '_test\.go$'); then
