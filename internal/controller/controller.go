@@ -452,9 +452,12 @@ func (c *Controller) serveDatapath(nc net.Conn) {
 	}
 	_ = xid
 	var dp *Datapath
-	// This loop is the arena's one owner; control tuples decoded from
-	// PacketIns take their storage with them (see tuple.Arena).
+	// This loop is the one owner of the arena and the depacketizer: control
+	// tuples decoded from PacketIns take their storage with them (see
+	// tuple.Arena), and a control tuple the worker's packetizer split into
+	// segments (a large SNAPSHOT_RESP) is reassembled across PacketIns.
 	var arena tuple.Arena
+	dpk := packet.NewDepacketizer()
 	for {
 		rxid, msg, err := conn.Receive()
 		if err != nil {
@@ -505,7 +508,7 @@ func (c *Controller) serveDatapath(nc net.Conn) {
 			if c.outage.Load() {
 				continue // a dead controller loses the event
 			}
-			c.handlePacketIn(dp, m, &arena)
+			c.handlePacketIn(dp, m, dpk, &arena)
 		case openflow.PortStatus:
 			if dp != nil && !c.outage.Load() {
 				for _, app := range c.appsSnapshot() {
@@ -525,20 +528,20 @@ func (c *Controller) serveDatapath(nc net.Conn) {
 	}
 }
 
-func (c *Controller) handlePacketIn(dp *Datapath, m openflow.PacketIn, arena *tuple.Arena) {
+func (c *Controller) handlePacketIn(dp *Datapath, m openflow.PacketIn, dpk *packet.Depacketizer, arena *tuple.Arena) {
 	if dp == nil {
 		return
 	}
 	host := dp.host
 	apps := c.appsSnapshot()
-	// Try to decode a control tuple from the frame.
-	if f, err := packet.Decode(m.Data); err == nil && len(f.Tuples) > 0 {
-		for _, raw := range f.Tuples {
-			if tp, _, err := tuple.DecodeInto(raw, arena); err == nil && tp.Stream.IsControl() {
-				c.recordWorkerStats(host, f.Src, tp)
-				for _, app := range apps {
-					app.OnControlTuple(c, host, f.Src, tp)
-				}
+	// Try to decode control tuples from the frame; a segment yields its
+	// tuple only once the last of its segments arrives.
+	in, _ := dpk.Feed(m.Data)
+	for _, rec := range in {
+		if tp, _, err := tuple.DecodeInto(rec.Data, arena); err == nil && tp.Stream.IsControl() {
+			c.recordWorkerStats(host, rec.Src, tp)
+			for _, app := range apps {
+				app.OnControlTuple(c, host, rec.Src, tp)
 			}
 		}
 	}

@@ -138,7 +138,7 @@ func (b *statsBed) resp(app uint16, mr control.MetricResp) {
 	frame := packet.EncodeTuples(packet.ControllerAddr, packet.WorkerAddr(app, uint32(mr.Worker)),
 		[][]byte{tuple.Encode(control.Encode(control.KindMetricResp, mr))})
 	var arena tuple.Arena
-	b.c.handlePacketIn(b.c.datapath("h1"), openflow.PacketIn{Data: frame}, &arena)
+	b.c.handlePacketIn(b.c.datapath("h1"), openflow.PacketIn{Data: frame}, packet.NewDepacketizer(), &arena)
 }
 
 // sent returns how many METRIC_REQs each worker address has been sent. The

@@ -70,7 +70,7 @@ func (o *Observability) registerSwitch(sw *switchfabric.Switch) {
 		counter("typhoon_switch_dropped_frames_total", "Frames lost to table misses, malformed headers and full rings.", cnt.Dropped)
 		counter("typhoon_switch_malformed_frames_total", "Frames rejected before lookup (short or corrupt header).", cnt.Malformed)
 		counter("typhoon_switch_microflow_hits_total", "Frames forwarded via the microflow exact-match cache.", cnt.MicroflowHits)
-		counter("typhoon_switch_microflow_misses_total", "Frames that missed the microflow cache (each one staged flow-table lookup).", cnt.MicroflowMisses)
+		counter("typhoon_switch_microflow_misses_total", "Frames that missed the microflow cache (each one flow-table lookup).", cnt.MicroflowMisses)
 		counter("typhoon_switch_meter_dropped_frames_total", "Frames dropped by QoS meters (rate policing).", cnt.MeterDrops)
 		ports := sw.Ports()
 		emit(observe.Sample{Name: "typhoon_switch_flow_rules", Kind: observe.KindGauge,

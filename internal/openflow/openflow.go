@@ -194,7 +194,8 @@ func (m Match) Equal(o Match) bool { return m == o }
 // Normalize returns the match with every wildcarded field zeroed, so two
 // semantically equal matches — same mask, same constrained values, junk in
 // the ignored fields — become structurally equal. The switch's classifier
-// keys its mask-staged sub-tables on normalized matches.
+// stores normalized matches, so an ADD replaces the rule with the same
+// match and priority and a strict delete finds it by plain equality.
 func (m Match) Normalize() Match {
 	if !m.Fields.Has(FieldInPort) {
 		m.InPort = 0

@@ -1,6 +1,7 @@
 package switchfabric
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -22,12 +23,6 @@ type rule struct {
 	// are charged against (0 = unmetered). Immutable once installed: rate
 	// changes retune the meter object itself, never the rule.
 	meter uint32
-
-	// seq is the global install rank, used to break priority ties: among
-	// equal-priority rules the earliest-installed wins, matching the stable
-	// insertion order of the pre-staged linear table. A replacement (same
-	// match and priority) inherits the rank of the rule it replaces.
-	seq uint64
 
 	// actions is swapped atomically by FlowModify. The fast path reads the
 	// action list without holding the table lock (directly after lookup, or
@@ -67,73 +62,15 @@ func (r *rule) expired(now int64) bool {
 	return idle > int64(r.idleTimeoutMs)*int64(time.Millisecond)
 }
 
-// flowKey is the tuple a sub-table is probed with: the frame attributes
-// restricted to the sub-table's mask, with wildcarded fields zeroed.
-type flowKey struct {
-	inPort    uint32
-	src, dst  packet.Addr
-	etherType uint16
-}
-
-// maskedKey projects frame attributes onto a mask.
-func maskedKey(fs openflow.FieldSet, inPort uint32, src, dst packet.Addr, etherType uint16) flowKey {
-	var k flowKey
-	if fs.Has(openflow.FieldInPort) {
-		k.inPort = inPort
-	}
-	if fs.Has(openflow.FieldDlSrc) {
-		k.src = src
-	}
-	if fs.Has(openflow.FieldDlDst) {
-		k.dst = dst
-	}
-	if fs.Has(openflow.FieldEtherType) {
-		k.etherType = etherType
-	}
-	return k
-}
-
-// ruleKey is the masked key a normalized match occupies in its sub-table.
-func ruleKey(m openflow.Match) flowKey {
-	return flowKey{inPort: m.InPort, src: m.DlSrc, dst: m.DlDst, etherType: m.EtherType}
-}
-
-// subTable holds every rule sharing one wildcard mask, keyed by the values
-// of the masked fields. A bucket carries the (rare) rules with identical
-// match but different priorities, ordered by descending priority, so a
-// probe reads bucket[0] and is done.
-type subTable struct {
-	mask openflow.FieldSet
-	// maxPriority is the highest priority of any rule in the sub-table; the
-	// probe loop stops once the running best beats every remaining one.
-	maxPriority uint16
-	entries     map[flowKey][]*rule
-}
-
-// recompute refreshes maxPriority after removals.
-func (st *subTable) recompute() {
-	st.maxPriority = 0
-	for _, bucket := range st.entries {
-		if len(bucket) > 0 && bucket[0].priority > st.maxPriority {
-			st.maxPriority = bucket[0].priority
-		}
-	}
-}
-
-// flowTable is a tuple-space-search classifier: rules live in priority-
-// staged sub-tables keyed by wildcard mask, so a lookup probes one small
-// map per distinct mask instead of scanning every rule. The streaming
-// workload produces only a handful of distinct masks (Table 3's rule
-// vocabulary), so a slow-path lookup is a few map probes regardless of
-// rule count; the per-pump microflow cache (microflow.go) keeps repeated
-// lookups off it entirely.
+// flowTable is the switch's classifier: one slice of rules ordered by
+// descending priority, install order among equal priorities, and a lookup
+// returns the first rule that covers the frame. It is the slow path only:
+// each port pump's exact-match microflow cache (microflow.go) answers every
+// frame whose (src, dst, ethertype) it has seen since the last mutation, so
+// the table is scanned once per microflow per generation, not per frame.
 type flowTable struct {
-	mu sync.RWMutex
-	// subs is the probe order: descending maxPriority, so the scan can stop
-	// as soon as the best hit so far outranks every remaining sub-table.
-	subs    []*subTable
-	count   int
-	nextSeq uint64
+	mu    sync.RWMutex
+	rules []*rule
 
 	// gen, when set, is bumped inside the write lock by every mutation so
 	// microflow caches are invalidated with a happens-before edge:
@@ -148,48 +85,17 @@ func (t *flowTable) bump() {
 	}
 }
 
-// resort restores the descending-maxPriority probe order. Callers hold mu.
-func (t *flowTable) resort() {
-	sort.SliceStable(t.subs, func(i, j int) bool {
-		return t.subs[i].maxPriority > t.subs[j].maxPriority
-	})
-}
-
-// sub returns the sub-table for a mask, creating it if needed. Callers
-// hold mu.
-func (t *flowTable) sub(mask openflow.FieldSet) *subTable {
-	for _, st := range t.subs {
-		if st.mask == mask {
-			return st
-		}
-	}
-	st := &subTable{mask: mask, entries: make(map[flowKey][]*rule)}
-	t.subs = append(t.subs, st)
-	return st
-}
-
-// lookup returns the highest-priority rule covering the frame attributes.
+// lookup returns the highest-priority rule covering the frame attributes,
+// the earliest-installed among equal priorities.
 func (t *flowTable) lookup(inPort uint32, src, dst packet.Addr, etherType uint16) *rule {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var best *rule
-	for _, st := range t.subs {
-		// Strictly-better only: an equal-priority rule in a later sub-table
-		// may still win its tie on install rank, so keep probing ties.
-		if best != nil && best.priority > st.maxPriority {
-			break
-		}
-		bucket := st.entries[maskedKey(st.mask, inPort, src, dst, etherType)]
-		if len(bucket) == 0 {
-			continue
-		}
-		r := bucket[0]
-		if best == nil || r.priority > best.priority ||
-			(r.priority == best.priority && r.seq < best.seq) {
-			best = r
+	for _, r := range t.rules {
+		if r.match.Covers(inPort, src, dst, etherType) {
+			return r
 		}
 	}
-	return best
+	return nil
 }
 
 // add installs a rule, replacing any entry with the identical match and
@@ -209,40 +115,30 @@ func (t *flowTable) add(fm openflow.FlowMod) {
 	nr.lastHit.Store(clock.CoarseUnixNano())
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := t.sub(m.Fields)
-	key := ruleKey(m)
-	bucket := st.entries[key]
-	for i, r := range bucket {
-		if r.priority == fm.Priority {
-			if ruleUnchanged(r, fm) {
-				// Identical re-add: refresh the idle timer (exactly what a
-				// replacement would do) but keep the installed rule, its
-				// counters, and — critically — the cache generation. A new
-				// master reconciling after failover re-sends every rule it
-				// believes installed; treating those as no-ops keeps the
-				// microflow caches hot, so the data plane never
-				// notices the control plane re-homing.
-				r.lastHit.Store(clock.CoarseUnixNano())
-				return
-			}
-			nr.seq = r.seq // replacement keeps the original's tie-break rank
-			bucket[i] = nr
-			t.bump()
+	// The priority band is [i, end of the run of equal priorities); a rule
+	// with the same match is replaced where it stands, keeping its rank.
+	i := sort.Search(len(t.rules), func(i int) bool { return t.rules[i].priority <= fm.Priority })
+	for ; i < len(t.rules) && t.rules[i].priority == fm.Priority; i++ {
+		r := t.rules[i]
+		if !r.match.Equal(m) {
+			continue
+		}
+		if ruleUnchanged(r, fm) {
+			// Identical re-add: refresh the idle timer (exactly what a
+			// replacement would do) but keep the installed rule, its
+			// counters, and — critically — the cache generation. A new
+			// master reconciling after failover re-sends every rule it
+			// believes installed; treating those as no-ops keeps the
+			// microflow caches hot, so the data plane never
+			// notices the control plane re-homing.
+			r.lastHit.Store(clock.CoarseUnixNano())
 			return
 		}
+		t.rules[i] = nr
+		t.bump()
+		return
 	}
-	nr.seq = t.nextSeq
-	t.nextSeq++
-	bucket = append(bucket, nr)
-	sort.SliceStable(bucket, func(i, j int) bool {
-		return bucket[i].priority > bucket[j].priority
-	})
-	st.entries[key] = bucket
-	t.count++
-	if fm.Priority > st.maxPriority {
-		st.maxPriority = fm.Priority
-	}
-	t.resort()
+	t.rules = slices.Insert(t.rules, i, nr) // last of its priority band
 	t.bump()
 }
 
@@ -253,19 +149,7 @@ func ruleUnchanged(r *rule, fm openflow.FlowMod) bool {
 		r.idleTimeoutMs == fm.IdleTimeoutMs &&
 		r.flags == fm.Flags &&
 		r.meter == fm.Meter &&
-		actionsEqual(r.loadActions(), fm.Actions)
-}
-
-func actionsEqual(a, b []openflow.Action) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+		slices.Equal(r.loadActions(), fm.Actions)
 }
 
 // modify replaces the actions of rules subsumed by the match; it returns
@@ -275,14 +159,10 @@ func (t *flowTable) modify(fm openflow.FlowMod) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := 0
-	for _, st := range t.subs {
-		for _, bucket := range st.entries {
-			for _, r := range bucket {
-				if subsumes(fm.Match, r.match) {
-					r.actions.Store(&acts)
-					n++
-				}
-			}
+	for _, r := range t.rules {
+		if subsumes(fm.Match, r.match) {
+			r.actions.Store(&acts)
+			n++
 		}
 	}
 	if n > 0 {
@@ -296,57 +176,24 @@ func (t *flowTable) modify(fm openflow.FlowMod) int {
 // ties). Callers hold mu.
 func (t *flowTable) removeWhere(del func(*rule) bool) []*rule {
 	var removed []*rule
-	changed := false
-	for _, st := range t.subs {
-		stChanged := false
-		for key, bucket := range st.entries {
-			kept := bucket[:0]
-			for _, r := range bucket {
-				if del(r) {
-					removed = append(removed, r)
-				} else {
-					kept = append(kept, r)
-				}
-			}
-			if len(kept) == len(bucket) {
-				continue
-			}
-			// Nil the compacted tail: without this the trailing *rule
-			// objects — and their action slices — stay reachable through
-			// the bucket's backing array until it regrows past them.
-			clear(bucket[len(kept):])
-			stChanged = true
-			if len(kept) == 0 {
-				delete(st.entries, key)
-			} else {
-				st.entries[key] = kept
-			}
-		}
-		if stChanged {
-			st.recompute()
-			changed = true
+	kept := t.rules[:0]
+	for _, r := range t.rules {
+		if del(r) {
+			removed = append(removed, r)
+		} else {
+			kept = append(kept, r)
 		}
 	}
-	if changed {
-		t.dropEmptySubs()
-		t.resort()
-		t.count -= len(removed)
-		t.bump()
+	if len(removed) == 0 {
+		return nil
 	}
-	sortRules(removed)
+	// Nil the compacted tail: without this the trailing *rule objects — and
+	// their action slices — stay reachable through the backing array until
+	// it regrows past them.
+	clear(t.rules[len(kept):])
+	t.rules = kept
+	t.bump()
 	return removed
-}
-
-// dropEmptySubs discards sub-tables left without entries. Callers hold mu.
-func (t *flowTable) dropEmptySubs() {
-	kept := t.subs[:0]
-	for _, st := range t.subs {
-		if len(st.entries) > 0 {
-			kept = append(kept, st)
-		}
-	}
-	clear(t.subs[len(kept):])
-	t.subs = kept
 }
 
 // remove deletes rules. Strict deletion requires exact match and priority;
@@ -385,16 +232,9 @@ func (t *flowTable) expire(now int64) []*rule {
 // snapshot returns flow statistics rows for all rules in table order.
 func (t *flowTable) snapshot() []openflow.FlowStats {
 	t.mu.RLock()
-	rules := make([]*rule, 0, t.count)
-	for _, st := range t.subs {
-		for _, bucket := range st.entries {
-			rules = append(rules, bucket...)
-		}
-	}
-	t.mu.RUnlock()
-	sortRules(rules)
-	out := make([]openflow.FlowStats, 0, len(rules))
-	for _, r := range rules {
+	defer t.mu.RUnlock()
+	out := make([]openflow.FlowStats, 0, len(t.rules))
+	for _, r := range t.rules {
 		out = append(out, openflow.FlowStats{
 			Match:    r.match,
 			Priority: r.priority,
@@ -409,18 +249,7 @@ func (t *flowTable) snapshot() []openflow.FlowStats {
 func (t *flowTable) len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.count
-}
-
-// sortRules orders rules like the classifier ranks them: priority
-// descending, install order among ties.
-func sortRules(rules []*rule) {
-	sort.Slice(rules, func(i, j int) bool {
-		if rules[i].priority != rules[j].priority {
-			return rules[i].priority > rules[j].priority
-		}
-		return rules[i].seq < rules[j].seq
-	})
+	return len(t.rules)
 }
 
 // subsumes reports whether outer (a deletion/modification pattern) covers

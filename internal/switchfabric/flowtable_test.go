@@ -132,10 +132,11 @@ func TestFlowTableSnapshotCounters(t *testing.T) {
 	}
 }
 
-// linearTable is the pre-staged classifier: rules sorted by descending
-// priority with stable insertion order, lookup by linear scan. The
-// conformance tests below hold the staged classifier to exactly these
-// semantics.
+// linearTable is the reference classifier, written independently of
+// flowTable: every add re-sorts the whole list (descending priority, stable
+// in insertion order) where flowTable inserts into the priority band, and
+// lookup is a linear scan. The conformance test below holds flowTable to
+// exactly these semantics.
 type linearTable struct {
 	rules []*rule
 }
@@ -194,14 +195,14 @@ func (t *linearTable) lookup(inPort uint32, src, dst packet.Addr, etherType uint
 	return nil
 }
 
-// TestStagedMatchesLinearConformance drives the staged classifier and the
+// TestClassifierMatchesLinearConformance drives the classifier and the
 // reference linear table through the same randomized install/delete churn
 // and requires identical lookup decisions on a frame sweep after every
 // mutation.
-func TestStagedMatchesLinearConformance(t *testing.T) {
+func TestClassifierMatchesLinearConformance(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		var staged flowTable
+		var ft flowTable
 		var linear linearTable
 		randMatch := func() openflow.Match {
 			return mkMatch(openflow.FieldSet(r.Intn(16)), r.Uint32()%3,
@@ -215,14 +216,14 @@ func TestStagedMatchesLinearConformance(t *testing.T) {
 							src := packet.WorkerAddr(1, srcW)
 							dst := packet.WorkerAddr(1, dstW)
 							want := linear.lookup(in, src, dst, et)
-							got := staged.lookup(in, src, dst, et)
+							got := ft.lookup(in, src, dst, et)
 							switch {
 							case want == nil && got == nil:
 							case want == nil || got == nil:
-								t.Fatalf("seed %d step %d frame(%d,%d,%d,%d): staged=%v linear=%v",
+								t.Fatalf("seed %d step %d frame(%d,%d,%d,%d): classifier=%v linear=%v",
 									seed, step, in, srcW, dstW, et, got != nil, want != nil)
 							case want.cookie != got.cookie:
-								t.Fatalf("seed %d step %d frame(%d,%d,%d,%d): staged picked cookie %d (prio %d, %s), linear %d (prio %d, %s)",
+								t.Fatalf("seed %d step %d frame(%d,%d,%d,%d): classifier picked cookie %d (prio %d, %s), linear %d (prio %d, %s)",
 									seed, step, in, srcW, dstW, et,
 									got.cookie, got.priority, got.match.Fields,
 									want.cookie, want.priority, want.match.Fields)
@@ -239,27 +240,27 @@ func TestStagedMatchesLinearConformance(t *testing.T) {
 			case 0, 1: // add twice as often as deletes
 				fm := openflow.FlowMod{Priority: prio, Match: m, Cookie: uint64(seed)<<32 | uint64(step),
 					Actions: []openflow.Action{openflow.Output(uint32(step))}}
-				staged.add(fm)
+				ft.add(fm)
 				linear.add(fm)
 			case 2:
-				staged.remove(m, prio, true)
+				ft.remove(m, prio, true)
 				linear.remove(m, prio, true)
 			case 3:
-				staged.remove(m, prio, false)
+				ft.remove(m, prio, false)
 				linear.remove(m, prio, false)
 			}
-			if staged.len() != len(linear.rules) {
-				t.Fatalf("seed %d step %d: staged holds %d rules, linear %d", seed, step, staged.len(), len(linear.rules))
+			if ft.len() != len(linear.rules) {
+				t.Fatalf("seed %d step %d: classifier holds %d rules, linear %d", seed, step, ft.len(), len(linear.rules))
 			}
 			sweep(step)
 		}
 	}
 }
 
-// TestPriorityTieAcrossSubTables pins the cross-sub-table tie-break: among
-// equal priorities the earliest-installed rule wins, and a delete +
-// reinstall demotes the rule to the back of the tie.
-func TestPriorityTieAcrossSubTables(t *testing.T) {
+// TestPriorityTieInstallOrder pins the tie-break between rules of different
+// masks: among equal priorities the earliest-installed rule wins, and a
+// delete + reinstall demotes the rule to the back of the tie.
+func TestPriorityTieInstallOrder(t *testing.T) {
 	var ft flowTable
 	byDst := openflow.Match{Fields: openflow.FieldDlDst, DlDst: packet.WorkerAddr(1, 2)}
 	byPort := openflow.Match{Fields: openflow.FieldInPort, InPort: 1}
@@ -317,8 +318,8 @@ func ruleReleased(t *testing.T, ft *flowTable, pick func() *rule, mutate func())
 }
 
 // sharedBucketRules installs count rules with the identical match at
-// distinct priorities, so they share one sub-table bucket and removal
-// exercises the in-place slice compaction.
+// distinct priorities, so the lowest of them is the table's last element
+// and removal exercises the in-place slice compaction.
 func sharedBucketRules(ft *flowTable, count int) openflow.Match {
 	m := openflow.Match{Fields: openflow.FieldDlDst, DlDst: packet.WorkerAddr(1, 7)}
 	for i := 0; i < count; i++ {
@@ -329,23 +330,19 @@ func sharedBucketRules(ft *flowTable, count int) openflow.Match {
 }
 
 // ruleByPriority digs the rule with the given priority out of the table's
-// internals, so retention tests can finalize a specific bucket position.
+// rule list, so retention tests can finalize a specific position.
 func ruleByPriority(ft *flowTable, prio uint16) *rule {
 	ft.mu.RLock()
 	defer ft.mu.RUnlock()
-	for _, st := range ft.subs {
-		for _, bucket := range st.entries {
-			for _, r := range bucket {
-				if r.priority == prio {
-					return r
-				}
-			}
+	for _, r := range ft.rules {
+		if r.priority == prio {
+			return r
 		}
 	}
 	return nil
 }
 
-// The retention tests target the bucket's LAST element (lowest priority):
+// The retention tests target the table's LAST element (lowest priority):
 // left-shift compaction overwrites removed leading elements, so only a
 // removed trailing rule stays pinned by the backing array — exactly the
 // slot the clear() in removeWhere exists to release.
@@ -353,7 +350,7 @@ func TestFlowTableRemoveReleasesRule(t *testing.T) {
 	var ft flowTable
 	m := sharedBucketRules(&ft, 4)
 	ruleReleased(t, &ft,
-		func() *rule { return ruleByPriority(&ft, 10) }, // bucket tail
+		func() *rule { return ruleByPriority(&ft, 10) }, // table tail
 		func() { ft.remove(m, 10, true) })
 	if ft.len() != 3 {
 		t.Fatalf("len = %d, want 3", ft.len())
@@ -364,11 +361,11 @@ func TestFlowTableExpireReleasesRule(t *testing.T) {
 	var ft flowTable
 	m := sharedBucketRules(&ft, 4)
 	// Give the tail (lowest-priority) rule an idle timeout; the re-add
-	// replaces it in place so it stays at the end of the bucket.
+	// replaces it in place so it stays at the end of the table.
 	ft.add(openflow.FlowMod{Priority: 10, Match: m, IdleTimeoutMs: 1,
 		Actions: []openflow.Action{openflow.Output(99)}})
 	ruleReleased(t, &ft,
-		func() *rule { return ruleByPriority(&ft, 10) }, // bucket tail
+		func() *rule { return ruleByPriority(&ft, 10) }, // table tail
 		func() {
 			time.Sleep(10 * time.Millisecond)
 			ft.expire(time.Now().UnixNano())

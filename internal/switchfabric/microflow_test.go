@@ -262,10 +262,10 @@ func scatter(t *testing.T, in, out *Port, dst packet.Addr, n int) {
 	}
 }
 
-// TestMegaflowInvalidation replaces a destination route after rotating
+// TestMicroflowFollowsReplacedRoute replaces a destination route after rotating
 // sources warmed the cache with it: frames must follow the new rule, not a
 // cached entry for the old one.
-func TestMegaflowInvalidation(t *testing.T) {
+func TestMicroflowFollowsReplacedRoute(t *testing.T) {
 	sw, _ := newTestSwitch(t)
 	a2 := packet.WorkerAddr(1, 2)
 	p1, _ := sw.AddPort("w1", packet.WorkerAddr(1, 1))
@@ -290,11 +290,11 @@ func TestMegaflowInvalidation(t *testing.T) {
 	scatter(t, p1, p3, a2, 5) // the same sources: fresh rule, not stale entries
 }
 
-// TestMegaflowOverlapPriority installs a broad low-priority dl_dst rule and
+// TestMicroflowOverlapPriority installs a broad low-priority dl_dst rule and
 // a narrow high-priority (dl_src, dl_dst) override. Rotating broad sources
 // interleaved with the override source must never capture each other's
 // decision through the cache.
-func TestMegaflowOverlapPriority(t *testing.T) {
+func TestMicroflowOverlapPriority(t *testing.T) {
 	sw, _ := newTestSwitch(t)
 	a2 := packet.WorkerAddr(1, 2)
 	special := packet.WorkerAddr(9, 500)

@@ -17,8 +17,10 @@
 //   - Each port pump owns one exact-match microflow cache (microflow.go) in
 //     front of the flow table, invalidated by a generation counter that
 //     every control mutation bumps. A miss falls through to the
-//     mask-staged classifier (flowtable.go), whose cost scales with
-//     distinct rule masks, not rule count, and inserts its answer.
+//     classifier (flowtable.go), one rule list in priority order whose
+//     first covering rule wins, and inserts its answer. Steady traffic is
+//     one microflow per (upstream worker, destination), so the list is
+//     scanned on a flow's first frame and after rule churn, not per frame.
 //   - Ports, groups and the controller sink are read from an immutable
 //     dataView snapshot swapped atomically on control-plane changes.
 //   - Frames are processed in batches: the view, the generation and a
@@ -34,6 +36,7 @@ package switchfabric
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -178,17 +181,9 @@ type group struct {
 	typ     openflow.GroupType
 	buckets []openflow.Bucket
 	next    atomic.Uint64 // weighted round-robin cursor
-	// slots maps every round-robin slot to its bucket index, precomputed on
-	// GroupMod so per-frame selection is one array read. Groups whose total
-	// weight exceeds maxWRRSlots skip the table (it would be large) and
-	// fall back to a binary search over the cumulative weights.
-	slots   []uint16
-	weights []uint32 // cumulative weights for bucket selection
+	weights []uint32      // cumulative weights for bucket selection
 	total   uint32
 }
-
-// maxWRRSlots bounds the precomputed slot table of a select group.
-const maxWRRSlots = 4096
 
 // Port is one switch port. The device side (worker I/O layer, tunnel pump,
 // controller agent) writes frames in with WriteFrame and reads frames out
@@ -199,10 +194,11 @@ type Port struct {
 	addr   packet.Addr
 	tunnel bool
 
-	rx *ring.Ring // device -> switch
-	tx *ring.Ring // switch -> device
-	// qd, when set, replaces tx with per-class DRR queues (immutable after
-	// port construction).
+	// rx carries device -> switch. Exactly one of tx and qd carries switch
+	// -> device: qd, the per-class DRR queues, when the switch runs egress
+	// queues, tx otherwise (fixed at port construction).
+	rx *ring.Ring
+	tx *ring.Ring
 	qd *qdisc
 
 	rxPackets atomic.Uint64
@@ -275,9 +271,10 @@ func (p *Port) QueueStats() []QueueStats {
 // closeRings closes every ring attached to the port.
 func (p *Port) closeRings() {
 	p.rx.Close()
-	p.tx.Close()
 	if p.qd != nil {
 		p.qd.close()
+	} else {
+		p.tx.Close()
 	}
 }
 
@@ -488,10 +485,11 @@ func (s *Switch) addPort(name string, addr packet.Addr, tunnel bool) (*Port, err
 		addr:   addr,
 		tunnel: tunnel,
 		rx:     ring.New(s.opts.RingCapacity),
-		tx:     ring.New(s.opts.RingCapacity),
 	}
 	if len(s.opts.EgressQueues) > 0 {
 		p.qd = newQdisc(s.opts.EgressQueues, s.opts.RingCapacity)
+	} else {
+		p.tx = ring.New(s.opts.RingCapacity)
 	}
 	s.ports[p.no] = p
 	s.rebuildView()
@@ -585,18 +583,6 @@ func (s *Switch) ApplyGroupMod(gm openflow.GroupMod) error {
 			g.total += w
 			g.weights = append(g.weights, g.total)
 		}
-		if g.total <= maxWRRSlots {
-			g.slots = make([]uint16, 0, g.total)
-			for i, b := range gm.Buckets {
-				w := uint32(b.Weight)
-				if w == 0 {
-					w = 1
-				}
-				for j := uint32(0); j < w; j++ {
-					g.slots = append(g.slots, uint16(i))
-				}
-			}
-		}
 		s.groups[gm.GroupID] = g
 	case openflow.GroupDelete:
 		if _, ok := s.groups[gm.GroupID]; !ok {
@@ -617,7 +603,7 @@ func groupUnchanged(g *group, gm openflow.GroupMod) bool {
 		return false
 	}
 	for i, b := range gm.Buckets {
-		if g.buckets[i].Weight != b.Weight || !actionsEqual(g.buckets[i].Actions, b.Actions) {
+		if g.buckets[i].Weight != b.Weight || !slices.Equal(g.buckets[i].Actions, b.Actions) {
 			return false
 		}
 	}
@@ -820,8 +806,8 @@ func (s *Switch) processBatch(in *Port, batch [][]byte, mc *microCache) {
 			frame = traced
 		}
 		etherType := binary.BigEndian.Uint16(frame[12:14])
-		// Exact-match microflow cache; a miss is the upcall into the staged
-		// flow table, whose answer the cache keeps.
+		// Exact-match microflow cache; a miss is the upcall into the flow
+		// table, whose answer the cache keeps.
 		key := microKey{src: src, dst: dst, etherType: etherType}
 		r, ok := mc.lookup(key)
 		if ok {
@@ -960,24 +946,10 @@ func (s *Switch) executeGroup(v *dataView, inPort uint32, frame []byte, id uint3
 		if g.total == 0 {
 			return 0
 		}
-		// Weighted round robin: the slot table resolves the bucket in one
-		// array read; oversized groups binary-search the cumulative weights.
+		// Weighted round robin: slot s of each cycle of total slots goes to
+		// the first bucket whose cumulative weight exceeds s.
 		slot := uint32(g.next.Add(1)-1) % g.total
-		idx := 0
-		if g.slots != nil {
-			idx = int(g.slots[slot])
-		} else {
-			lo, hi := 0, len(g.weights)
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if slot < g.weights[mid] {
-					hi = mid
-				} else {
-					lo = mid + 1
-				}
-			}
-			idx = lo
-		}
+		idx, _ := slices.BinarySearch(g.weights, slot+1)
 		return s.execute(v, inPort, frame, g.buckets[idx].Actions, depth, queue, now, consumed)
 	case openflow.GroupAll:
 		// Same last-reader rule as execute: only the final bucket's actions

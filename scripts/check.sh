@@ -70,10 +70,12 @@ if [ "$(grep -c 'doze\.Sleep(' internal/worker/worker.go)" != 1 ] ||
 	echo "internal/worker/worker.go: want exactly one doze.Sleep( and no idleSpin (see above)" >&2
 	exit 1
 fi
-# One flow cache, one way to configure the switch.
-if grep -inE 'megaflow|Disable[A-Za-z]*Cache|Without[A-Za-z]*Cache|optionFunc' \
+# One flow cache, one classifier, one select-group path, one way to
+# configure the switch: the microflow cache fronts one ordered rule list, and
+# a select group binary-searches its cumulative weights (no slot table).
+if grep -inE 'megaflow|Disable[A-Za-z]*Cache|Without[A-Za-z]*Cache|optionFunc|subTable|maskedKey|flowKey|maxWRRSlots' \
 	$(ls internal/switchfabric/*.go | grep -v '_test\.go$'); then
-	echo "internal/switchfabric grew a second flow cache or option idiom (see above)" >&2
+	echo "internal/switchfabric grew a second flow cache, classifier, group path or option idiom (see above)" >&2
 	exit 1
 fi
 # One switch attachment, one mastership machine: a lone controller is a
