@@ -9,6 +9,7 @@
 package controller
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"sort"
@@ -35,6 +36,9 @@ type ManagerAPI interface {
 	AddDetachedNode(topo string, spec topology.NodeSpec, host string) error
 	// RemoveNode removes a node added with AddDetachedNode.
 	RemoveNode(topo, node string) error
+	// WaitReadyCtx blocks until the network is programmed for the
+	// topology's current generation, or ctx ends.
+	WaitReadyCtx(ctx context.Context, topo string) error
 }
 
 // App is an SDN control plane application.
@@ -82,9 +86,6 @@ type Options struct {
 	LeaseTTL time.Duration
 	// TickInterval drives periodic reconciliation and app ticks.
 	TickInterval time.Duration
-	// StatefulFlushDelay separates SIGNAL flushes from the routing
-	// updates that follow during stable stateful reconfiguration.
-	StatefulFlushDelay time.Duration
 	// EnableQoS compiles multi-tenant QoS into the rule set: data rules
 	// carry the topology's meter and a set_queue action selecting its rate
 	// class's egress queue, and per-topology meters are programmed on every
@@ -244,9 +245,6 @@ func New(kv coordinator.KV, opts Options) (*Controller, error) {
 	}
 	if opts.TickInterval <= 0 {
 		opts.TickInterval = 200 * time.Millisecond
-	}
-	if opts.StatefulFlushDelay <= 0 {
-		opts.StatefulFlushDelay = 50 * time.Millisecond
 	}
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = 5 * opts.TickInterval

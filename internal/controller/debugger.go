@@ -1,11 +1,14 @@
 package controller
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
 
+	"typhoon/internal/coordinator"
 	"typhoon/internal/observe"
+	"typhoon/internal/paths"
 	"typhoon/internal/topology"
 )
 
@@ -83,23 +86,27 @@ func (d *LiveDebugger) Attach(c *Controller, topoName string, src topology.Worke
 	if err != nil {
 		return "", err
 	}
-	// Wait for the debug worker's switch port through the controller's
-	// converging view of the physical topology.
+	// Wait for the debug worker's switch port, which its agent writes into
+	// the stored physical topology.
+	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Second)
+	defer cancel()
 	var debugPort uint32
-	awaitCond(4*time.Second, func() bool {
-		_, cur := c.Topology(topoName)
-		if cur != nil {
-			for _, cand := range cur.Instances(debugNode) {
-				if cand.Port != 0 {
-					debugPort = cand.Port
-				}
+	err = coordinator.Await(ctx, c.kv, paths.Physical(topoName), func() bool {
+		raw, _, _ := c.kv.Get(paths.Physical(topoName))
+		cur, err := topology.DecodePhysical(raw)
+		if err != nil {
+			return false
+		}
+		for _, cand := range cur.Instances(debugNode) {
+			if cand.Port != 0 {
+				debugPort = cand.Port
 			}
 		}
 		return debugPort != 0
 	})
-	if debugPort == 0 {
+	if err != nil {
 		_ = mgr.RemoveNode(topoName, debugNode)
-		return "", fmt.Errorf("debugger: debug worker did not attach")
+		return "", fmt.Errorf("debugger: debug worker did not attach: %w", err)
 	}
 	if err := c.AddMirror(topoName, src, debugPort); err != nil {
 		_ = mgr.RemoveNode(topoName, debugNode)

@@ -20,6 +20,11 @@ const (
 	prioBcast   uint16 = 90  // one-to-many / SDN-balanced ingress
 )
 
+// statefulFlushDelay separates the SIGNAL flush sent to a stateful node's
+// surviving instances from the ROUTING updates that reroute their keys
+// (§3.5). Nothing acknowledges a flush, so the gap is a wait, not an event.
+const statefulFlushDelay = 50 * time.Millisecond
+
 type ruleKey struct {
 	host     string
 	match    string
@@ -292,7 +297,7 @@ func (c *Controller) SyncTopology(name string) {
 				}
 			}
 			if flushed {
-				time.Sleep(c.opts.StatefulFlushDelay)
+				time.Sleep(statefulFlushDelay)
 			}
 		}
 		for _, as := range p.Workers {
@@ -301,7 +306,7 @@ func (c *Controller) SyncTopology(name string) {
 				control.Encode(control.KindRouting, control.Routing{Routes: routes}))
 		}
 		if !paused {
-			c.activateSources(name, l, p)
+			c.sendToSources(name, l, p, control.KindActivate)
 		}
 		c.mu.Lock()
 		ts.ctlGen = l.Generation
@@ -335,7 +340,7 @@ func (c *Controller) SyncTopology(name string) {
 			}
 		}
 		if (adds > 0 || churned) && !paused {
-			c.activateSources(name, l, p)
+			c.sendToSources(name, l, p, control.KindActivate)
 		}
 	}
 }
@@ -390,13 +395,15 @@ func (c *Controller) invalidateRule(host string, fr openflow.FlowRemoved) {
 	c.mu.Unlock()
 }
 
-func (c *Controller) activateSources(name string, l *topology.Logical, p *topology.Physical) {
+// sendToSources sends a payload-free control tuple (ACTIVATE, DEACTIVATE)
+// to every source instance.
+func (c *Controller) sendToSources(name string, l *topology.Logical, p *topology.Physical, kind control.Kind) {
 	for _, node := range l.Nodes {
 		if !node.Source {
 			continue
 		}
 		for _, as := range p.Instances(node.Name) {
-			_ = c.SendControlTuple(name, as.Worker, control.Encode(control.KindActivate, nil))
+			_ = c.SendControlTuple(name, as.Worker, control.Encode(kind, nil))
 		}
 	}
 }

@@ -1,8 +1,11 @@
 package controller
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
-	"strconv"
+	"maps"
 	"sync"
 	"time"
 
@@ -41,20 +44,32 @@ type Updater struct {
 	// rescaleMu serializes managed rescales.
 	rescaleMu sync.Mutex
 
-	mu        sync.Mutex
-	token     uint64
-	metrics   map[uint64]chan control.MetricResp
-	snapshots map[uint64]chan control.SnapshotResp
-	restores  map[uint64]chan control.RestoreResp
+	mu    sync.Mutex
+	token uint64
+	// replies routes worker answers to the in-flight exchanges by token.
+	replies map[uint64]chan reply
 }
+
+// reply is one worker's answer to an exchange: the worker named in its
+// payload, and the payload, which the exchange's caller decodes.
+type reply struct {
+	worker topology.WorkerID
+	body   []byte
+}
+
+// exchangeRound is how long an exchange waits before asking its stragglers
+// again: a request or answer a restarting worker misses is lost, not late.
+const exchangeRound = time.Second
+
+// drainGap separates the drain's METRIC_REQ sweeps. A frame in a switch RX
+// ring or in the tunnel sits in no worker's input queue, so one empty sweep
+// does not prove the pipeline empty; a later sweep sees such a frame as
+// queued or processed.
+const drainGap = 5 * time.Millisecond
 
 // NewUpdater builds the app.
 func NewUpdater() *Updater {
-	return &Updater{
-		metrics:   make(map[uint64]chan control.MetricResp),
-		snapshots: make(map[uint64]chan control.SnapshotResp),
-		restores:  make(map[uint64]chan control.RestoreResp),
-	}
+	return &Updater{replies: make(map[uint64]chan reply)}
 }
 
 // Name implements App.
@@ -138,13 +153,13 @@ func (u *Updater) Rescale(c *Controller, topoName, node string, parallelism int,
 		resumed = true
 		_ = c.kv.Delete(paths.Paused(topoName))
 		if l2, p2 := c.Topology(topoName); l2 != nil {
-			c.activateSources(topoName, l2, p2)
+			c.sendToSources(topoName, l2, p2, control.KindActivate)
 		}
 		report.Pause = time.Since(pauseStart)
 	}
 	defer resume()
 
-	u.setSourcesActive(c, topoName, false)
+	c.sendToSources(topoName, l, p, control.KindDeactivate)
 
 	drainStart := time.Now()
 	if err := u.drain(c, topoName, deadline); err != nil {
@@ -179,8 +194,10 @@ func (u *Updater) Rescale(c *Controller, topoName, node string, parallelism int,
 		return nil, err
 	}
 	report.Generation = l2.Generation
-	if !awaitCond(time.Until(deadline), func() bool { return u.netReady(c, topoName, l2.Generation) }) {
-		return nil, fmt.Errorf("updater: network not programmed for generation %d", l2.Generation)
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	defer cancel()
+	if err := mgr.WaitReadyCtx(ctx, topoName); err != nil {
+		return nil, fmt.Errorf("updater: network not programmed for generation %d: %w", l2.Generation, err)
 	}
 
 	if spec.Stateful {
@@ -203,26 +220,6 @@ func (u *Updater) Rescale(c *Controller, topoName, node string, parallelism int,
 	return report, nil
 }
 
-// setSourcesActive sends ACTIVATE/DEACTIVATE to every source instance.
-func (u *Updater) setSourcesActive(c *Controller, topoName string, active bool) {
-	l, p := c.Topology(topoName)
-	if l == nil || p == nil {
-		return
-	}
-	kind := control.KindDeactivate
-	if active {
-		kind = control.KindActivate
-	}
-	for _, node := range l.Nodes {
-		if !node.Source {
-			continue
-		}
-		for _, as := range p.Instances(node.Name) {
-			_ = c.SendControlTuple(topoName, as.Worker, control.Encode(kind, nil))
-		}
-	}
-}
-
 // drain waits until the paused pipeline has no in-flight tuples: two
 // consecutive METRIC_REQ sweeps in which every worker reports an empty
 // input queue and the cluster-wide processed count did not move.
@@ -243,89 +240,60 @@ func (u *Updater) drain(c *Controller, topoName string, deadline time.Time) erro
 		} else {
 			stableOnce = false
 		}
-		time.Sleep(5 * pollInterval)
+		time.Sleep(drainGap)
 	}
 	return fmt.Errorf("updater: drain of %q timed out", topoName)
 }
 
-// metricSweep polls every worker of the topology once, returning the
-// summed queue length and processed count, and whether every worker
-// answered before the sweep window closed.
+// metricSweep asks every worker of the topology once for its statistics,
+// returning the summed queue length and processed count, and whether every
+// worker answered within one exchange round. A worker it cannot reach
+// (restarting) ends the sweep at once: the pipeline is not drained.
 func (u *Updater) metricSweep(c *Controller, topoName string, deadline time.Time) (queued int, processed uint64, complete bool) {
 	_, p := c.Topology(topoName)
 	if p == nil {
 		return 0, 0, false
 	}
-	workers := append([]topology.Assignment(nil), p.Workers...)
-	ch := make(chan control.MetricResp, len(workers)+1)
-	token := u.register(func(t uint64) { u.metrics[t] = ch })
-	defer u.unregister(func() { delete(u.metrics, token) })
-	sent := 0
-	for _, as := range workers {
-		if c.SendControlTuple(topoName, as.Worker,
-			control.Encode(control.KindMetricReq, control.MetricReq{Token: token})) == nil {
-			sent++
-		}
-	}
-	if sent < len(workers) {
-		return 0, 0, false // someone unreachable (restarting): not drained
-	}
-	sweepEnd := time.Now().Add(time.Second)
+	sweepEnd := time.Now().Add(exchangeRound)
 	if sweepEnd.After(deadline) {
 		sweepEnd = deadline
 	}
-	got := 0
-	for got < sent && time.Now().Before(sweepEnd) {
-		select {
-		case mr := <-ch:
-			queued += mr.QueueLen
-			processed += mr.Processed
-			got++
-		case <-time.After(pollInterval):
+	replies, missing := u.exchange(c.stopCh, p.Workers, sweepEnd, func(token uint64, id topology.WorkerID) bool {
+		return c.SendControlTuple(topoName, id,
+			control.Encode(control.KindMetricReq, control.MetricReq{Token: token})) == nil
+	})
+	for _, body := range replies {
+		var mr control.MetricResp
+		if json.Unmarshal(body, &mr) != nil {
+			return 0, 0, false
 		}
+		queued += mr.QueueLen
+		processed += mr.Processed
 	}
-	return queued, processed, got == sent
+	return queued, processed, missing == 0
 }
 
 // collectSnapshots gathers the full key range from every old instance of
-// the rescaled node, retrying stragglers until the deadline.
+// the rescaled node, asking stragglers again until the deadline.
 func (u *Updater) collectSnapshots(c *Controller, topoName string, instances []topology.Assignment, deadline time.Time) (map[string][]byte, error) {
-	state := make(map[string][]byte)
-	pendingSet := make(map[topology.WorkerID]bool, len(instances))
-	for _, as := range instances {
-		pendingSet[as.Worker] = true
-	}
-	ch := make(chan control.SnapshotResp, len(instances)+1)
-	token := u.register(func(t uint64) { u.snapshots[t] = ch })
-	defer u.unregister(func() { delete(u.snapshots, token) })
-	for len(pendingSet) > 0 {
+	replies, missing := u.exchange(c.stopCh, instances, deadline, func(token uint64, id topology.WorkerID) bool {
+		_ = c.SendControlTuple(topoName, id, control.Encode(control.KindSnapshotReq,
+			control.SnapshotReq{Token: token, From: 0, To: worker.NumPartitions}))
+		return true
+	})
+	if missing > 0 {
 		if c.Stopped() {
 			return nil, fmt.Errorf("updater: controller stopped mid-snapshot")
 		}
-		if !time.Now().Before(deadline) {
-			return nil, fmt.Errorf("updater: %d snapshot(s) of %q never arrived", len(pendingSet), topoName)
+		return nil, fmt.Errorf("updater: %d snapshot(s) of %q never arrived", missing, topoName)
+	}
+	state := make(map[string][]byte)
+	for _, body := range replies {
+		var sr control.SnapshotResp
+		if err := json.Unmarshal(body, &sr); err != nil {
+			return nil, fmt.Errorf("updater: snapshot of %q: %w", topoName, err)
 		}
-		for id := range pendingSet {
-			_ = c.SendControlTuple(topoName, id, control.Encode(control.KindSnapshotReq,
-				control.SnapshotReq{Token: token, From: 0, To: worker.NumPartitions}))
-		}
-		round := time.Now().Add(time.Second)
-		if round.After(deadline) {
-			round = deadline
-		}
-		for len(pendingSet) > 0 && time.Now().Before(round) {
-			select {
-			case resp := <-ch:
-				if !pendingSet[resp.Worker] {
-					continue // duplicate from a re-sent request
-				}
-				delete(pendingSet, resp.Worker)
-				for k, v := range resp.State {
-					state[k] = v
-				}
-			case <-time.After(pollInterval):
-			}
-		}
+		maps.Copy(state, sr.State)
 	}
 	return state, nil
 }
@@ -353,37 +321,69 @@ func (u *Updater) restoreState(c *Controller, topoName string, instances []topol
 			byWorker[as.Worker] = shares[i]
 		}
 	}
-	pendingSet := make(map[topology.WorkerID]bool, n)
-	for _, as := range instances {
-		pendingSet[as.Worker] = true
-	}
-	ch := make(chan control.RestoreResp, n+1)
-	token := u.register(func(t uint64) { u.restores[t] = ch })
-	defer u.unregister(func() { delete(u.restores, token) })
-	for len(pendingSet) > 0 {
+	_, missing := u.exchange(c.stopCh, instances, deadline, func(token uint64, id topology.WorkerID) bool {
+		_ = c.SendControlTuple(topoName, id, control.Encode(control.KindRestore,
+			control.Restore{Token: token, State: byWorker[id]}))
+		return true
+	})
+	if missing > 0 {
 		if c.Stopped() {
 			return fmt.Errorf("updater: controller stopped mid-restore")
 		}
-		if !time.Now().Before(deadline) {
-			return fmt.Errorf("updater: %d restore ack(s) of %q never arrived", len(pendingSet), topoName)
-		}
-		for id := range pendingSet {
-			_ = c.SendControlTuple(topoName, id, control.Encode(control.KindRestore,
-				control.Restore{Token: token, State: byWorker[id]}))
-		}
-		round := time.Now().Add(time.Second)
-		if round.After(deadline) {
-			round = deadline
-		}
-		for len(pendingSet) > 0 && time.Now().Before(round) {
-			select {
-			case resp := <-ch:
-				delete(pendingSet, resp.Worker)
-			case <-time.After(pollInterval):
-			}
-		}
+		return fmt.Errorf("updater: %d restore ack(s) of %q never arrived", missing, topoName)
 	}
 	return nil
+}
+
+// exchange asks every worker in workers, under one fresh token, and keeps
+// the first answer each sends back; answers to other tokens, from workers
+// not pending and repeats are ignored. ask sends one worker the request;
+// returning false abandons the exchange. Stragglers are asked again once
+// per exchangeRound. The exchange ends when every worker has answered, at
+// until, or when stop closes, and returns the answers by worker and how
+// many workers never answered.
+func (u *Updater) exchange(stop <-chan struct{}, workers []topology.Assignment, until time.Time, ask func(token uint64, id topology.WorkerID) bool) (map[topology.WorkerID][]byte, int) {
+	// Room for every worker's answer and a late answer to an earlier round.
+	ch := make(chan reply, 2*len(workers))
+	u.mu.Lock()
+	u.token++
+	token := u.token
+	u.replies[token] = ch
+	u.mu.Unlock()
+	defer func() {
+		u.mu.Lock()
+		delete(u.replies, token)
+		u.mu.Unlock()
+	}()
+	pending := make(map[topology.WorkerID]bool, len(workers))
+	for _, as := range workers {
+		pending[as.Worker] = true
+	}
+	got := make(map[topology.WorkerID][]byte, len(workers))
+	round := time.NewTimer(0) // the first round starts at once
+	defer round.Stop()
+	for len(pending) > 0 {
+		select {
+		case r := <-ch:
+			if pending[r.worker] {
+				delete(pending, r.worker)
+				got[r.worker] = r.body
+			}
+		case <-round.C:
+			if !time.Now().Before(until) {
+				return got, len(pending)
+			}
+			for id := range pending {
+				if !ask(token, id) {
+					return got, len(pending)
+				}
+			}
+			round.Reset(min(exchangeRound, time.Until(until)))
+		case <-stop:
+			return got, len(pending)
+		}
+	}
+	return got, 0
 }
 
 // OnTick implements App: reap pause markers orphaned by a dead controller.
@@ -407,82 +407,34 @@ func (u *Updater) OnTick(c *Controller) {
 		}
 		_ = c.kv.Delete(paths.Paused(name))
 		if l, p := c.Topology(name); l != nil && p != nil {
-			c.activateSources(name, l, p)
+			c.sendToSources(name, l, p, control.KindActivate)
 		}
 	}
 }
 
-// netReady reports whether the controller has programmed the data plane
-// for at least generation gen.
-func (u *Updater) netReady(c *Controller, topoName string, gen int64) bool {
-	raw, _, err := c.kv.Get(paths.NetReady(topoName))
-	if err != nil {
-		return false
+// OnControlTuple implements App: route a worker's answer to the exchange
+// its token names. METRIC_RESP, SNAPSHOT_RESP and RESTORE_RESP all carry
+// the token and the answering worker; unsolicited statistics carry token 0,
+// which no exchange uses.
+func (u *Updater) OnControlTuple(_ *Controller, _ string, _ packet.Addr, t tuple.Tuple) {
+	var head struct {
+		Token  uint64            `json:"token"`
+		Worker topology.WorkerID `json:"worker"`
 	}
-	got, perr := strconv.ParseInt(string(raw), 10, 64)
-	return perr == nil && got >= gen
-}
-
-// register allocates a fresh token and installs a response channel for it.
-func (u *Updater) register(install func(token uint64)) uint64 {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	u.token++
-	install(u.token)
-	return u.token
-}
-
-func (u *Updater) unregister(remove func()) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	remove()
-}
-
-// OnControlTuple implements App: route worker replies to the in-flight
-// rescale's collection channels by token.
-func (u *Updater) OnControlTuple(c *Controller, host string, src packet.Addr, t tuple.Tuple) {
-	kind, err := control.DecodeKind(t)
-	if err != nil {
+	if control.DecodePayload(t, &head) != nil {
 		return
 	}
-	switch kind {
-	case control.KindMetricResp:
-		var mr control.MetricResp
-		if control.DecodePayload(t, &mr) != nil {
-			return
-		}
-		u.mu.Lock()
-		ch := u.metrics[mr.Token]
-		u.mu.Unlock()
-		deliver(ch, mr)
-	case control.KindSnapshotResp:
-		var sr control.SnapshotResp
-		if control.DecodePayload(t, &sr) != nil {
-			return
-		}
-		u.mu.Lock()
-		ch := u.snapshots[sr.Token]
-		u.mu.Unlock()
-		deliver(ch, sr)
-	case control.KindRestoreResp:
-		var rr control.RestoreResp
-		if control.DecodePayload(t, &rr) != nil {
-			return
-		}
-		u.mu.Lock()
-		ch := u.restores[rr.Token]
-		u.mu.Unlock()
-		deliver(ch, rr)
-	}
-}
-
-// deliver enqueues a reply without ever blocking the PacketIn path.
-func deliver[T any](ch chan T, v T) {
+	u.mu.Lock()
+	ch := u.replies[head.Token]
+	u.mu.Unlock()
 	if ch == nil {
 		return
 	}
+	// The payload lies in the PacketIn decoder's arena: copy it out. A full
+	// channel drops the answer rather than block the PacketIn path; the
+	// straggler is asked again next round.
 	select {
-	case ch <- v:
+	case ch <- reply{worker: head.Worker, body: bytes.Clone(t.Field(1).AsBytes())}:
 	default:
 	}
 }

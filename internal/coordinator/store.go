@@ -14,6 +14,7 @@
 package coordinator
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -264,6 +265,32 @@ func (s *Store) Watch(prefix string) (<-chan Event, func(), error) {
 		}
 	}
 	return w.ch, cancel, nil
+}
+
+// Await blocks until cond reports true, re-checking it after every change
+// under prefix: the one way a reader waits for the control plane to
+// converge. The watch is registered before the first check, so a change
+// landing between the two still wakes it, and a reader that falls behind
+// loses the oldest events, never the newest, so the last change is always
+// re-checked. It returns nil once cond holds, ctx's error when ctx ends
+// first, and ErrClosed when the store closes.
+func Await(ctx context.Context, kv KV, prefix string, cond func() bool) error {
+	events, cancel, err := kv.Watch(prefix)
+	if err != nil {
+		return err
+	}
+	defer cancel()
+	for !cond() {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case _, ok := <-events:
+			if !ok {
+				return ErrClosed
+			}
+		}
+	}
+	return nil
 }
 
 // Close releases all watchers; subsequent writes fail.

@@ -171,25 +171,19 @@ func (m *Manager) WaitReady(name string, timeout time.Duration) error {
 }
 
 // WaitReadyCtx is WaitReady driven by a context: it returns nil once the
-// network is programmed for the current generation, or the context error
-// when ctx is cancelled or its deadline passes first.
+// controller's netready marker reaches the current generation, or an error
+// wrapping ctx's error or coordinator.ErrClosed, whichever ends it first.
 func (m *Manager) WaitReadyCtx(ctx context.Context, name string) error {
-	for {
+	err := coordinator.Await(ctx, m.kv, paths.NetReady(name), func() bool {
 		l, _, err := m.Describe(name)
-		if err == nil {
-			raw, _, gerr := m.kv.Get(paths.NetReady(name))
-			if gerr == nil {
-				if gen, perr := strconv.ParseInt(string(raw), 10, 64); perr == nil && gen >= l.Generation {
-					return nil
-				}
-			}
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("manager: topology %s not ready: %w", name, ctx.Err())
-		case <-time.After(20 * time.Millisecond):
-		}
+		raw, _, _ := m.kv.Get(paths.NetReady(name))
+		gen, perr := strconv.ParseInt(string(raw), 10, 64)
+		return err == nil && perr == nil && gen >= l.Generation
+	})
+	if err != nil {
+		return fmt.Errorf("manager: topology %s not ready: %w", name, err)
 	}
+	return nil
 }
 
 // reconfigure applies fn to the stored logical topology, bumps its

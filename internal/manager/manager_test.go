@@ -1,7 +1,9 @@
 package manager
 
 import (
+	"errors"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -278,5 +280,66 @@ func TestWaitReady(t *testing.T) {
 	store.Put(paths.NetReady("sample"), []byte("0"))
 	if err := m.WaitReady("sample", time.Second); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWaitReadyClosedCoordinator: a wait that outlives its coordinator (a
+// Submit racing Cluster.Stop) ends when the store closes, not at its
+// deadline.
+func TestWaitReadyClosedCoordinator(t *testing.T) {
+	m, store := newManager(t, "h1")
+	if err := m.Submit(sampleTopology(t, 0)); err != nil {
+		t.Fatal(err)
+	}
+	time.AfterFunc(20*time.Millisecond, store.Close)
+	start := time.Now()
+	err := m.WaitReady("sample", 2*time.Second)
+	if !errors.Is(err, coordinator.ErrClosed) {
+		t.Fatalf("err = %v, want coordinator.ErrClosed", err)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("returned after %v, not when the store closed", el)
+	}
+}
+
+// countingKV counts reads of one path.
+type countingKV struct {
+	coordinator.KV
+	path  string
+	reads atomic.Int64
+}
+
+func (k *countingKV) Get(p string) ([]byte, int64, error) {
+	if p == k.path {
+		k.reads.Add(1)
+	}
+	return k.KV.Get(p)
+}
+
+// TestWaitReadyWakesOnNetReady: WaitReady reads netready when it starts and
+// when the controller writes it, not on a clock.
+func TestWaitReadyWakesOnNetReady(t *testing.T) {
+	store := coordinator.NewStore()
+	if _, err := store.Put(paths.Agent("h1"), []byte(`{"host":"h1"}`)); err != nil {
+		t.Fatal(err)
+	}
+	kv := &countingKV{KV: store, path: paths.NetReady("sample")}
+	m := New(kv, Options{Scheduler: scheduler.RoundRobin{}})
+	t.Cleanup(m.Stop)
+	if err := m.Submit(sampleTopology(t, 0)); err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := m.Describe("sample")
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.AfterFunc(200*time.Millisecond, func() {
+		store.Put(paths.NetReady("sample"), []byte(strconv.FormatInt(l.Generation, 10)))
+	})
+	if err := m.WaitReady("sample", 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n := kv.reads.Load(); n > 3 {
+		t.Fatalf("netready read %d times over a 200 ms wait, want at most 3", n)
 	}
 }

@@ -118,6 +118,14 @@ if grep -n 'KindMetricReq\|control\.MetricResp' internal/controller/*.go |
 	echo "METRIC_REQ/METRIC_RESP handled outside workerstats.go and updater.go (see above)" >&2
 	exit 1
 fi
+# The control plane waits on coordinator events (coordinator.Await) and the
+# updater's one exchange loop, not on a clock: no condition poll in the
+# controller or the manager, and no timer in the manager's readiness wait.
+if grep -nE 'awaitCond|pollInterval' $(ls internal/controller/*.go internal/manager/*.go | grep -v '_test\.go$') ||
+	grep -n 'time\.After(' internal/manager/manager.go; then
+	echo "a polling wait in the control plane (see above)" >&2
+	exit 1
+fi
 # One door into a running cluster: typhoon-ctl speaks only /api/v1 through
 # internal/apiclient — no coordinator connection, no second streaming
 # manager, no sockets or ad-hoc HTTP of its own — and the coordinator has no
