@@ -61,13 +61,6 @@ func main() {
 		fmt.Printf("cluster up: %d hosts (%s mode)\n", *hosts, *mode)
 	}
 
-	if cluster.Controller != nil {
-		// The live debugger doubles as the consumer of sampled tuple-path
-		// traces alongside its packet-mirroring taps.
-		dbg := typhoon.NewLiveDebugger()
-		dbg.AttachTraceLog(cluster.Obs.Traces)
-		cluster.Controller.AddApp(dbg)
-	}
 	if *metrics != "" {
 		obsSrv := &http.Server{Addr: *metrics, Handler: cluster.ObserveHandler()}
 		go func() {

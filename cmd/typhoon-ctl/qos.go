@@ -60,7 +60,7 @@ func runQoSStatus(cl *apiclient.Client) {
 		fatal(err)
 	}
 	if !st.Enabled {
-		fmt.Println("QoS is not enabled on this cluster (start it with core.WithQoS)")
+		fmt.Println("QoS is not enabled on this cluster (start it with typhoon-cluster -qos)")
 		return
 	}
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)

@@ -36,6 +36,11 @@ const (
 	ModeStorm
 )
 
+// statsInterval is the SDN-mode workers' statistics push period (Fig 4's
+// worker statistics reporter), which keeps the controller's table warm
+// between METRIC_REQ sweeps.
+const statsInterval = 500 * time.Millisecond
+
 // Options configures an Agent.
 type Options struct {
 	Host string
@@ -64,9 +69,6 @@ type Options struct {
 	// emitted tuples sit staged in their transport; zero selects
 	// worker.DefaultFlushDeadline, negative disables.
 	DefaultFlushDeadline time.Duration
-	// StatsInterval is the workers' statistics push period (Fig 4's
-	// worker statistics reporter); zero selects 500 ms in SDN mode.
-	StatsInterval time.Duration
 	// AckTimeout configures source replay when acking is enabled.
 	AckTimeout time.Duration
 	// OnWorkerCrash, when set, observes crashes (tests, fault stats).
@@ -140,9 +142,6 @@ func New(opts Options) (*Agent, error) {
 	}
 	if opts.RestartDelay <= 0 {
 		opts.RestartDelay = 500 * time.Millisecond
-	}
-	if opts.StatsInterval <= 0 && opts.Mode == ModeSDN {
-		opts.StatsInterval = 500 * time.Millisecond
 	}
 	a := &Agent{
 		opts:         opts,
@@ -465,7 +464,6 @@ func (a *Agent) launch(l *topology.Logical, p *topology.Physical, as topology.As
 		Acking:        l.Ackers > 0,
 		FlushInterval: flushDeadline,
 		AckTimeout:    a.opts.AckTimeout,
-		StatsInterval: a.opts.StatsInterval,
 		Env:           a.opts.Env,
 	}
 	for _, e := range l.InEdges(as.Node) {
@@ -477,6 +475,7 @@ func (a *Agent) launch(l *topology.Logical, p *topology.Physical, as topology.As
 	case ModeSDN:
 		// Sources wait for the controller's ACTIVATE after rules exist.
 		cfg.StartInactive = node.Source
+		cfg.StatsInterval = statsInterval
 		pt, err := a.opts.Switch.AddPort("w"+strconv.FormatUint(uint64(as.Worker), 10),
 			packet.WorkerAddr(l.App, uint32(as.Worker)))
 		if err != nil {

@@ -22,7 +22,7 @@ func TestRecoveryControllerKillDuringRescale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: partition smoke only")
 	}
-	c, stats, _ := newRecoveryCluster(t, []core.Option{core.WithControllers(3)})
+	c, stats, _ := newRecoveryCluster(t, func(cfg *core.Config) { cfg.Controllers = 3 })
 	submitWordcount(t, c, stats, "wc-ctlkill", 26)
 
 	// The master of h1 (the topology's first host) owns the topology's

@@ -17,7 +17,7 @@
 //     endpoint and `typhoon-ctl chaos` submit.
 //
 //   - Plan: an ordered, clock-driven schedule of Specs plus the seed,
-//     for scripted experiments (typhoon.WithChaos).
+//     for scripted experiments (typhoon.Config.Chaos).
 //
 //   - Engine: applies Specs against a Target (the running cluster),
 //     schedules Plan events and automatic reversals (heal after a

@@ -23,24 +23,27 @@ import (
 const chaosSeed = 42
 
 // newRecoveryCluster builds a Typhoon cluster with fast fault-handling
-// timings and a fixed chaos seed, via the options API.
-func newRecoveryCluster(t *testing.T, extra []core.Option, hosts ...string) (*core.Cluster, *workload.Stats, *workload.Config) {
+// timings and a fixed chaos seed; extra, if non-nil, adjusts the Config
+// before the cluster is built.
+func newRecoveryCluster(t *testing.T, extra func(*core.Config), hosts ...string) (*core.Cluster, *workload.Stats, *workload.Config) {
 	t.Helper()
 	if len(hosts) == 0 {
 		hosts = []string{"h1", "h2"}
 	}
-	opts := []core.Option{
-		core.WithHosts(hosts...),
-		core.WithHeartbeatInterval(100 * time.Millisecond),
-		core.WithHeartbeatTimeout(2 * time.Second),
-		core.WithMonitorInterval(200 * time.Millisecond),
-		core.WithDrainDelay(100 * time.Millisecond),
-		core.WithRestartDelay(200 * time.Millisecond),
-		core.WithDefaultBatchSize(50),
-		core.WithChaos(chaos.Plan{Seed: chaosSeed}),
+	clusterCfg := core.Config{
+		Hosts:             hosts,
+		HeartbeatInterval: 100 * time.Millisecond,
+		HeartbeatTimeout:  2 * time.Second,
+		MonitorInterval:   200 * time.Millisecond,
+		DrainDelay:        100 * time.Millisecond,
+		RestartDelay:      200 * time.Millisecond,
+		DefaultBatchSize:  50,
+		Chaos:             chaos.Plan{Seed: chaosSeed},
 	}
-	opts = append(opts, extra...)
-	c, err := core.NewCluster(opts...)
+	if extra != nil {
+		extra(&clusterCfg)
+	}
+	c, err := core.NewCluster(clusterCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,10 +208,10 @@ func TestRecoveryWorkerCrash(t *testing.T) {
 		t.Skip("short mode: partition smoke only")
 	}
 	var crashes atomic.Int64
-	c, stats, _ := newRecoveryCluster(t, []core.Option{
-		core.WithOnWorkerCrash(func(topo string, id topology.WorkerID, err error) {
+	c, stats, _ := newRecoveryCluster(t, func(cfg *core.Config) {
+		cfg.OnWorkerCrash = func(topo string, id topology.WorkerID, err error) {
 			crashes.Add(1)
-		}),
+		}
 	})
 	submitWordcount(t, c, stats, "wc-crash", 23)
 
@@ -300,7 +303,7 @@ func TestRecoveryControllerOutage(t *testing.T) {
 	}
 }
 
-// TestRecoveryPlanDrivenInjection runs a scripted plan (the WithChaos
+// TestRecoveryPlanDrivenInjection runs a scripted plan (the Config.Chaos
 // shape) against live traffic: a netem drop-rate impairment followed by a
 // heal, asserting the plan's events fire in order and the seeded drop
 // pattern repeats what the unit tests established.

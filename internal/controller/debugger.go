@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"typhoon/internal/coordinator"
-	"typhoon/internal/observe"
 	"typhoon/internal/paths"
 	"typhoon/internal/topology"
 )
@@ -27,9 +26,8 @@ const DebugNodePrefix = "__debug"
 type LiveDebugger struct {
 	BaseApp
 
-	mu     sync.Mutex
-	taps   map[string]string // "topo/worker" -> debug node name
-	traces *observe.TraceLog
+	mu   sync.Mutex
+	taps map[string]string // "topo/worker" -> debug node name
 }
 
 // NewLiveDebugger builds the app.
@@ -39,27 +37,6 @@ func NewLiveDebugger() *LiveDebugger {
 
 // Name implements App.
 func (d *LiveDebugger) Name() string { return "live-debugger" }
-
-// AttachTraceLog hands the debugger the cluster's completed tuple-path
-// traces, making the sampled hop-by-hop view part of the live-debugging
-// surface alongside packet mirroring.
-func (d *LiveDebugger) AttachTraceLog(l *observe.TraceLog) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.traces = l
-}
-
-// RecentTraces returns up to n recently completed tuple-path traces, most
-// recent first (n <= 0 returns all retained). Nil without an attached log.
-func (d *LiveDebugger) RecentTraces(n int) []observe.TraceRecord {
-	d.mu.Lock()
-	l := d.traces
-	d.mu.Unlock()
-	if l == nil {
-		return nil
-	}
-	return l.Recent(n)
-}
 
 // Attach deploys a debug worker with the given logic on the host of the
 // tapped worker and mirrors that worker's egress rules to it. It returns

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"time"
 
+	"typhoon/internal/agent"
 	"typhoon/internal/control"
 	"typhoon/internal/topology"
 	"typhoon/internal/worker"
@@ -50,20 +51,26 @@ func (c *Cluster) BatchStatus() BatchStatusReport {
 			}
 			report.FlushDeadlineNs = int64(deadline)
 		}
-		row := BatchHostRow{Host: name}
-		h.Agent.EachWorker(func(_ string, _ topology.WorkerID, w *worker.Worker) {
-			s := w.Transport().Stats()
-			row.Workers++
-			row.TuplesSent += s.TuplesSent
-			row.FramesSent += s.FramesSent
-			row.TuplesReceived += s.TuplesReceived
-		})
-		if row.FramesSent > 0 {
-			row.BatchOccupancy = float64(row.TuplesSent) / float64(row.FramesSent)
-		}
-		report.Hosts = append(report.Hosts, row)
+		report.Hosts = append(report.Hosts, hostBatchRow(h.Agent))
 	}
 	return report
+}
+
+// hostBatchRow sums the transport counters of a host's live workers and
+// derives the realized batch occupancy (tuples per frame).
+func hostBatchRow(a *agent.Agent) BatchHostRow {
+	row := BatchHostRow{Host: a.Host()}
+	a.EachWorker(func(_ string, _ topology.WorkerID, w *worker.Worker) {
+		s := w.Transport().Stats()
+		row.Workers++
+		row.TuplesSent += s.TuplesSent
+		row.FramesSent += s.FramesSent
+		row.TuplesReceived += s.TuplesReceived
+	})
+	if row.FramesSent > 0 {
+		row.BatchOccupancy = float64(row.TuplesSent) / float64(row.FramesSent)
+	}
+	return row
 }
 
 // SetBatch retunes the data-plane batching knobs cluster-wide: the agents'

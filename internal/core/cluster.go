@@ -46,8 +46,9 @@ type Config struct {
 	Mode Mode
 	// Hosts names the emulated compute hosts.
 	Hosts []string
-	// Scheduler places topologies; nil selects round robin, which the
-	// paper uses on both systems for fair comparison (§6).
+	// Scheduler places topologies; nil selects the manager's default,
+	// round robin, which the paper uses on both systems for fair
+	// comparison (§6).
 	Scheduler scheduler.Scheduler
 	// HeartbeatTimeout is the manager's worker-failure timeout
 	// (Storm defaults to 30 s; experiments shrink it).
@@ -87,7 +88,7 @@ type Config struct {
 	// Chaos is an optional fault-injection plan executed once the cluster
 	// is up; its Seed drives the link impairment table.
 	Chaos chaos.Plan
-	// QoS configures multi-tenant QoS; see WithQoS.
+	// QoS configures multi-tenant QoS; QoS.Enable turns it on.
 	QoS QoSConfig
 }
 
@@ -141,21 +142,14 @@ type Cluster struct {
 	scenarioMu sync.Mutex
 }
 
-// NewCluster builds and starts a cluster from the given options. A plain
-// Config value is itself an Option, so both call styles work:
-//
-//	core.NewCluster(core.Config{Hosts: []string{"h1"}})
-//	core.NewCluster(core.WithHosts("h1"), core.WithMode(core.ModeTyphoon))
-func NewCluster(options ...Option) (*Cluster, error) {
-	var cfg Config
-	for _, o := range options {
-		o.apply(&cfg)
-	}
+// NewCluster builds and starts the cluster cfg describes. The zero value of
+// each field selects its default. The cluster keeps its own copies of
+// cfg's slices, so the caller may reuse them.
+func NewCluster(cfg Config) (*Cluster, error) {
+	cfg.Hosts = append([]string(nil), cfg.Hosts...)
+	cfg.QoS.Queues = append([]switchfabric.QueueClass(nil), cfg.QoS.Queues...)
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Scheduler == nil {
-		cfg.Scheduler = scheduler.RoundRobin{}
 	}
 	if cfg.DefaultBatchSize <= 0 {
 		cfg.DefaultBatchSize = worker.DefaultBatchSize
@@ -308,7 +302,7 @@ func NewCluster(options ...Option) (*Cluster, error) {
 func (c *Cluster) Host(name string) *Host { return c.hosts[name] }
 
 // Controllers lists the SDN controller instances, ctl-0 … ctl-{n-1}: one by
-// default, n under WithControllers(n). Empty in ModeStorm.
+// default, n under Config.Controllers = n. Empty in ModeStorm.
 func (c *Cluster) Controllers() []*controller.Controller {
 	return append([]*controller.Controller(nil), c.controllers...)
 }
@@ -472,23 +466,6 @@ func (c *Cluster) RescaleVia(ctx context.Context, controllerID, topo, node strin
 		}
 	}
 	return nil, fmt.Errorf("core: unknown controller %q", controllerID)
-}
-
-// StopCtx tears the cluster down, abandoning the wait (but not the
-// teardown itself) when ctx is cancelled first. The teardown keeps running
-// in the background in that case.
-func (c *Cluster) StopCtx(ctx context.Context) error {
-	done := make(chan struct{})
-	go func() {
-		c.Stop()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("core: stop: %w", ctx.Err())
-	}
 }
 
 // Stop tears the cluster down.

@@ -20,7 +20,7 @@ import (
 // plane with one member. ctl-0 holds every switch's lease at the first epoch,
 // and /api/v1/controlplane shows it live with one held lease per host.
 func TestOneControllerIsASetOfOne(t *testing.T) {
-	c, err := NewCluster(WithHosts("h1", "h2"))
+	c, err := NewCluster(Config{Hosts: []string{"h1", "h2"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,13 +74,13 @@ func openFDs(t *testing.T) int {
 func TestStopLeaksNothing(t *testing.T) {
 	cases := []struct {
 		name string
-		opts []Option
+		cfg  Config
 		kill string
 	}{
-		{"typhoon-1", []Option{WithControllers(1)}, ""},
-		{"typhoon-3", []Option{WithControllers(3)}, ""},
-		{"typhoon-3-killed", []Option{WithControllers(3)}, "ctl-0"},
-		{"storm", []Option{WithMode(ModeStorm)}, ""},
+		{"typhoon-1", Config{Controllers: 1}, ""},
+		{"typhoon-3", Config{Controllers: 3}, ""},
+		{"typhoon-3-killed", Config{Controllers: 3}, "ctl-0"},
+		{"storm", Config{Mode: ModeStorm}, ""},
 	}
 	// The coarse clock's ticker is process-wide and never stops; start it
 	// before the baseline so it counts there.
@@ -89,8 +89,10 @@ func TestStopLeaksNothing(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			goroutines, fds := runtime.NumGoroutine(), openFDs(t)
 
-			opts := append([]Option{WithHosts("h1", "h2"), WithDrainDelay(10 * time.Millisecond)}, tc.opts...)
-			c, err := NewCluster(opts...)
+			cfg := tc.cfg
+			cfg.Hosts = []string{"h1", "h2"}
+			cfg.DrainDelay = 10 * time.Millisecond
+			c, err := NewCluster(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

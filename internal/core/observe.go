@@ -15,7 +15,6 @@ import (
 	"typhoon/internal/paths"
 	"typhoon/internal/switchfabric"
 	"typhoon/internal/topology"
-	"typhoon/internal/worker"
 )
 
 // Observability bundles the cluster-wide observability layer: the metric
@@ -96,27 +95,17 @@ func (o *Observability) registerSwitch(sw *switchfabric.Switch) {
 func (o *Observability) registerAgentTransports(a *agent.Agent) {
 	host := observe.Labels{"host": a.Host()}
 	o.Registry.AddCollector(func(emit func(observe.Sample)) {
-		var sent, frames, received uint64
-		a.EachWorker(func(_ string, _ topology.WorkerID, w *worker.Worker) {
-			s := w.Transport().Stats()
-			sent += s.TuplesSent
-			frames += s.FramesSent
-			received += s.TuplesReceived
-		})
+		row := hostBatchRow(a)
 		counter := func(name, help string, v uint64) {
 			emit(observe.Sample{Name: name, Kind: observe.KindCounter, Help: help,
 				Labels: host, Value: float64(v)})
 		}
-		counter("typhoon_transport_tuples_sent_total", "Tuples sent by the host's worker transports.", sent)
-		counter("typhoon_transport_frames_sent_total", "Frames pushed into the switch by the host's worker transports.", frames)
-		counter("typhoon_transport_tuples_received_total", "Tuples received by the host's worker transports.", received)
-		occupancy := 0.0
-		if frames > 0 {
-			occupancy = float64(sent) / float64(frames)
-		}
+		counter("typhoon_transport_tuples_sent_total", "Tuples sent by the host's worker transports.", row.TuplesSent)
+		counter("typhoon_transport_frames_sent_total", "Frames pushed into the switch by the host's worker transports.", row.FramesSent)
+		counter("typhoon_transport_tuples_received_total", "Tuples received by the host's worker transports.", row.TuplesReceived)
 		emit(observe.Sample{Name: "typhoon_transport_batch_occupancy", Kind: observe.KindGauge,
 			Help:   "Realized tuples per emitted frame (batching effectiveness).",
-			Labels: host, Value: occupancy})
+			Labels: host, Value: row.BatchOccupancy})
 	})
 }
 
@@ -185,7 +174,6 @@ func (c *Cluster) ObserveHandler() http.Handler {
 		Topologies:   http.HandlerFunc(c.serveTopologies),
 		Batch:        http.HandlerFunc(c.serveBatch),
 		Scenario:     http.HandlerFunc(c.serveScenario),
-		EnablePprof:  true,
 	})
 }
 

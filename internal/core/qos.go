@@ -11,9 +11,12 @@ import (
 	"typhoon/internal/topology"
 )
 
-// QoSConfig configures multi-tenant QoS (see WithQoS).
+// QoSConfig configures multi-tenant QoS (Config.QoS).
 type QoSConfig struct {
-	// Enable turns QoS on; WithQoS sets it.
+	// Enable turns QoS on (Typhoon mode): per-topology meters in every
+	// switch, weighted fair queueing at switch and tunnel egress, and the
+	// bandwidth-allocator control plane app reassigning meter rates from
+	// observed demand.
 	Enable bool
 	// LinkCapacityBps is the per-host egress budget the bandwidth
 	// allocator manages; zero selects the allocator's default.

@@ -26,8 +26,8 @@ import (
 
 // Options tunes a Manager.
 type Options struct {
-	// Scheduler places topologies; nil selects the Typhoon locality-aware
-	// scheduler.
+	// Scheduler places topologies; nil selects round robin, which the
+	// paper uses on both systems for fair comparison (§6).
 	Scheduler scheduler.Scheduler
 	// HeartbeatTimeout is how long a worker may go without a heartbeat
 	// before being rescheduled (Storm defaults to 30 s; tests shrink it).
@@ -54,7 +54,7 @@ type Manager struct {
 // New builds a manager.
 func New(kv coordinator.KV, opts Options) *Manager {
 	if opts.Scheduler == nil {
-		opts.Scheduler = scheduler.Locality{}
+		opts.Scheduler = scheduler.RoundRobin{}
 	}
 	if opts.HeartbeatTimeout <= 0 {
 		opts.HeartbeatTimeout = 30 * time.Second

@@ -14,7 +14,7 @@
 //   - Tuple-path tracing (TraceLog): sampled data-plane frames carry a hop
 //     annex (internal/packet trace annex) recording ingress port, flow-rule
 //     match, egress/replication and worker dequeue; completed traces land
-//     in a ring buffer the live debugger and the HTTP API expose.
+//     in a ring buffer the HTTP API exposes (/api/v1/traces).
 //
 //   - An HTTP exposition endpoint (Handler): Prometheus text format on
 //     /metrics, JSON on /api/*, and net/http/pprof under /debug/pprof/.
@@ -349,42 +349,3 @@ func writeHistogram(w io.Writer, s Sample) error {
 	_, err := fmt.Fprintf(w, "%s_count%s %d\n", s.Name, s.Labels.canonical(), h.Count)
 	return err
 }
-
-// Scope is a registry view with fixed base labels, so a component can
-// register its series without repeating its position in the hierarchy.
-type Scope struct {
-	r    *Registry
-	base Labels
-}
-
-// With returns a scoped view of the registry adding base to every
-// registration made through it.
-func (r *Registry) With(base Labels) *Scope { return &Scope{r: r, base: base.merged(nil)} }
-
-// Counter registers a counter under the scope's base labels.
-func (s *Scope) Counter(name, help string, labels Labels) *metrics.Counter {
-	return s.r.Counter(name, help, s.base.merged(labels))
-}
-
-// CounterFunc registers a func-backed counter under the base labels.
-func (s *Scope) CounterFunc(name, help string, labels Labels, fn func() uint64) {
-	s.r.CounterFunc(name, help, s.base.merged(labels), fn)
-}
-
-// Gauge registers a gauge under the base labels.
-func (s *Scope) Gauge(name, help string, labels Labels) *Gauge {
-	return s.r.Gauge(name, help, s.base.merged(labels))
-}
-
-// GaugeFunc registers a func-backed gauge under the base labels.
-func (s *Scope) GaugeFunc(name, help string, labels Labels, fn func() float64) {
-	s.r.GaugeFunc(name, help, s.base.merged(labels), fn)
-}
-
-// Histogram registers a histogram under the base labels.
-func (s *Scope) Histogram(name, help string, labels Labels) *metrics.Histogram {
-	return s.r.Histogram(name, help, s.base.merged(labels))
-}
-
-// Registry returns the underlying registry.
-func (s *Scope) Registry() *Registry { return s.r }

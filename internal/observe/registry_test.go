@@ -174,7 +174,7 @@ func TestCollectorAndHandler(t *testing.T) {
 			Labels: Labels{"host": "h1", "port": "1"}, Value: 9,
 		})
 	})
-	srv := httptest.NewServer(Handler(ServerOptions{Registry: r, EnablePprof: true}))
+	srv := httptest.NewServer(Handler(ServerOptions{Registry: r}))
 	defer srv.Close()
 
 	body := httpGet(t, srv.URL+"/metrics")

@@ -82,8 +82,6 @@ type ServerOptions struct {
 	// Scenario, when non-nil, is mounted at /api/v1/scenario (POST runs a
 	// declarative scenario spec and returns its report).
 	Scenario http.Handler
-	// EnablePprof adds net/http/pprof under /debug/pprof/.
-	EnablePprof bool
 }
 
 // Envelope is the uniform /api/v1 response body: exactly one of Data and
@@ -166,13 +164,11 @@ func Handler(o ServerOptions) http.Handler {
 	if o.Scenario != nil {
 		route("scenario", o.Scenario)
 	}
-	if o.EnablePprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

@@ -54,10 +54,9 @@ type Segment struct {
 
 // Errors returned by Decode.
 var (
-	ErrShortFrame    = errors.New("packet: frame shorter than header")
-	ErrBadEtherType  = errors.New("packet: unexpected ethertype")
-	ErrCorruptFrame  = errors.New("packet: corrupt frame payload")
-	ErrOversizeTuple = errors.New("packet: tuple exceeds segment limits")
+	ErrShortFrame   = errors.New("packet: frame shorter than header")
+	ErrBadEtherType = errors.New("packet: unexpected ethertype")
+	ErrCorruptFrame = errors.New("packet: corrupt frame payload")
 )
 
 // EncodeTuples builds a frame carrying the given pre-encoded tuples, which

@@ -126,6 +126,13 @@ if grep -nE 'awaitCond|pollInterval' $(ls internal/controller/*.go internal/mana
 	echo "a polling wait in the control plane (see above)" >&2
 	exit 1
 fi
+# One way to configure a cluster: NewCluster takes one Config, and no option
+# type or With* wrapper (nor an alias of one) stands in front of its fields.
+if grep -nE '^type Option\b|^[[:space:]]+Option[[:space:]]+=|optionFunc|^func (\([^)]*\) )?With|^[[:space:]]+With[A-Z][A-Za-z]*[[:space:]]+=' \
+	typhoon.go $(ls internal/core/*.go | grep -v '_test\.go$'); then
+	echo "a second way to configure a cluster (see above)" >&2
+	exit 1
+fi
 # One door into a running cluster: typhoon-ctl speaks only /api/v1 through
 # internal/apiclient — no coordinator connection, no second streaming
 # manager, no sockets or ad-hoc HTTP of its own — and the coordinator has no

@@ -22,7 +22,8 @@
 //	topo, _ := b.Build()
 //	cluster.Submit(topo, 10*time.Second)
 //
-// The same Config with Mode set to ModeStorm builds the paper's baseline
+// One Config value describes a deployment; runtime changes go through the
+// cluster's methods. The same Config with Mode set to ModeStorm builds the paper's baseline
 // (application-level TCP routing) on identical substrate, which is how the
 // evaluation harness in internal/experiments reproduces the paper's
 // comparisons.
@@ -142,13 +143,10 @@ func NewTopology(name string, app uint16) *TopologyBuilder {
 type (
 	// Cluster is a running deployment.
 	Cluster = core.Cluster
-	// Config describes a deployment. A Config value is itself an Option,
-	// so the struct-literal call style keeps working alongside With*.
+	// Config describes a deployment: its hosts, its mode and its knobs.
 	Config = core.Config
 	// Mode selects the data plane.
 	Mode = core.Mode
-	// Option configures NewCluster.
-	Option = core.Option
 	// QoSConfig enables and sizes multi-tenant QoS (Config.QoS).
 	QoSConfig = core.QoSConfig
 )
@@ -161,49 +159,11 @@ const (
 	ModeStorm = core.ModeStorm
 )
 
-// Cluster options. Each documents its default in internal/core.
-var (
-	// WithMode selects the data plane (default ModeTyphoon).
-	WithMode = core.WithMode
-	// WithHosts names the emulated compute hosts (required).
-	WithHosts = core.WithHosts
-	// WithScheduler sets the placement scheduler (default round robin).
-	WithScheduler = core.WithScheduler
-	// WithHeartbeatTimeout sets the manager's worker-failure timeout.
-	WithHeartbeatTimeout = core.WithHeartbeatTimeout
-	// WithMonitorInterval sets the heartbeat scan period (default off).
-	WithMonitorInterval = core.WithMonitorInterval
-	// WithHeartbeatInterval sets the agents' heartbeat report period.
-	WithHeartbeatInterval = core.WithHeartbeatInterval
-	// WithDefaultBatchSize sets the worker I/O batch size.
-	WithDefaultBatchSize = core.WithDefaultBatchSize
-	// WithAckTimeout enables guaranteed processing with a replay timeout.
-	WithAckTimeout = core.WithAckTimeout
-	// WithSwitchRingCapacity sizes switch port rings.
-	WithSwitchRingCapacity = core.WithSwitchRingCapacity
-	// WithDrainDelay sets the agents' stable-removal drain window.
-	WithDrainDelay = core.WithDrainDelay
-	// WithRestartDelay spaces local restarts of crashed workers.
-	WithRestartDelay = core.WithRestartDelay
-	// WithOnWorkerCrash observes worker crashes.
-	WithOnWorkerCrash = core.WithOnWorkerCrash
-	// WithTraceEvery samples one in n frames for tuple-path tracing.
-	WithTraceEvery = core.WithTraceEvery
-	// WithControllers runs n replicated SDN controllers with
-	// coordinator-elected per-switch mastership (default: a set of one).
-	WithControllers = core.WithControllers
-	// WithQoS enables multi-tenant QoS: per-topology meters, weighted
-	// egress queues, and the online bandwidth allocator (docs/QOS.md).
-	WithQoS = core.WithQoS
-	// WithChaos schedules a fault-injection plan (see package chaos).
-	WithChaos = core.WithChaos
-)
-
-// NewCluster builds and starts a cluster. It accepts either a single
-// Config literal (legacy style) or any combination of With* options:
+// NewCluster builds and starts the deployment cfg describes. Every field's
+// zero value selects its default (see core.Config):
 //
-//	typhoon.NewCluster(typhoon.WithHosts("h1", "h2"), typhoon.WithChaos(plan))
-func NewCluster(options ...Option) (*Cluster, error) { return core.NewCluster(options...) }
+//	typhoon.NewCluster(typhoon.Config{Hosts: []string{"h1", "h2"}, Chaos: plan})
+func NewCluster(cfg Config) (*Cluster, error) { return core.NewCluster(cfg) }
 
 // Fault injection (chaos engineering).
 type (
