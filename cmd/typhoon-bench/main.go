@@ -1,11 +1,12 @@
 // Command typhoon-bench regenerates the paper's evaluation tables and
 // figures (§6) on the emulated cluster and prints each result's rows or
-// series.
+// series. One experiment can print several results from one set of runs
+// (fig8bcd prints Fig 8b, 8c and 8d; fig12 prints Fig 12 and Table 5).
 //
 // Usage:
 //
 //	typhoon-bench -list
-//	typhoon-bench -run fig8a,fig9
+//	typhoon-bench -run fig8a,fig12
 //	typhoon-bench -run all -warmup 2s -measure 5s
 //
 // Longer windows give smoother numbers; the defaults keep a full sweep
@@ -56,12 +57,11 @@ func main() {
 	failed := false
 	for _, e := range entries {
 		start := time.Now()
-		res := e.Run(params)
-		res.Print(os.Stdout)
-		fmt.Printf("  (%.1fs)\n\n", time.Since(start).Seconds())
-		if res.Err != nil {
-			failed = true
+		for _, res := range e.Run(params) {
+			res.Print(os.Stdout)
+			failed = failed || res.Err != nil
 		}
+		fmt.Printf("  (%.1fs)\n\n", time.Since(start).Seconds())
 	}
 	if failed {
 		os.Exit(1)

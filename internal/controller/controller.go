@@ -223,6 +223,11 @@ type Controller struct {
 	outage atomic.Bool
 	// pktOutDelay delays every PACKET_OUT (chaos control-latency fault).
 	pktOutDelay atomic.Int64
+	// ctlPkt frames control tuples for PACKET_OUT (ctlMu guards it): a
+	// tuple above one frame's payload budget leaves as a segment train, so
+	// no PACKET_OUT outgrows openflow.MaxMessageLen.
+	ctlMu  sync.Mutex
+	ctlPkt *packet.Packetizer
 	// statsSweeps and statsResps count METRIC_REQ sweeps sent and
 	// METRIC_RESPs recorded (typhoon_collector_*).
 	statsSweeps, statsResps atomic.Uint64
@@ -262,6 +267,7 @@ func New(kv coordinator.KV, opts Options) (*Controller, error) {
 		topos:    make(map[string]*topoState),
 		masters:  make(map[string]coordinator.Lease),
 		roleSent: make(map[string]roleState),
+		ctlPkt:   packet.NewPacketizer(packet.ControllerAddr, 0),
 		stopCh:   make(chan struct{}),
 		nextGp:   1,
 		nextMt:   1,
@@ -644,13 +650,25 @@ func (c *Controller) SendControlTuple(topoName string, id topology.WorkerID, ct 
 		return fmt.Errorf("controller: no datapath for host %s", as.Host)
 	}
 	dst := packet.WorkerAddr(l.App, uint32(id))
-	frame := packet.EncodeTuples(dst, packet.ControllerAddr, [][]byte{tuple.Encode(ct)})
-	_, err := dp.conn.Send(openflow.PacketOut{
-		InPort:  openflow.PortController,
-		Actions: []openflow.Action{openflow.Output(as.Port)},
-		Data:    frame,
-	})
-	return err
+	c.ctlMu.Lock()
+	frames := c.ctlPkt.Add(dst, tuple.Encode(ct))
+	if len(frames) == 0 { // staged whole: it fits one frame
+		frames = c.ctlPkt.FlushAll()
+	}
+	frames = append([][]byte(nil), frames...) // the packetizer reuses its slice
+	c.ctlMu.Unlock()
+	for _, frame := range frames {
+		_, err := dp.conn.Send(openflow.PacketOut{
+			InPort:  openflow.PortController,
+			Actions: []openflow.Action{openflow.Output(as.Port)},
+			Data:    frame,
+		})
+		packet.PutFrameBuf(frame)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // PortStats polls one switch's port counters (the cross-layer network

@@ -1,9 +1,11 @@
-// Package experiments regenerates every table and figure of the paper's
-// evaluation (§6) on the emulated cluster: Fig 8 (forwarding throughput
-// and latency, with and without acking), Fig 9 (one-to-many), Fig 10
-// (fault recovery), Fig 11 (auto scaling), Fig 12 (live debugging
-// overhead), Fig 14 (runtime computation-logic update) and Table 5 (live
-// debugger comparison).
+// Package experiments regenerates the tables and figures of the paper's
+// evaluation (§6) on the emulated cluster, each from one runner: Fig 8
+// (forwarding throughput and latency, with and without acking), Fig 9
+// (one-to-many), Fig 10 (fault recovery), Fig 11 (auto scaling) and Fig 12
+// with Table 5 (live debugging overhead and the live-debugger comparison).
+// Fig 14's runtime computation-logic update is examples/yahoo-ads, and the
+// §3.5 stable update behind Fig 6 is this package's
+// TestReconfigurationZeroLoss.
 //
 // Absolute numbers differ from the paper's DPDK/10G testbed; the harness
 // reproduces the *shape* of each result: who wins, by what factor, and
@@ -29,8 +31,6 @@ type Params struct {
 	Warmup time.Duration
 	// Measure is the measurement window.
 	Measure time.Duration
-	// Hosts is the cluster size (defaults per experiment).
-	Hosts int
 }
 
 // WithDefaults fills missing fields.
@@ -164,21 +164,6 @@ func (e *env) rate(counter string, warmup, window time.Duration) float64 {
 	time.Sleep(window)
 	delta := e.stats.Counter(counter).Value() - before
 	return float64(delta) / time.Since(start).Seconds()
-}
-
-// sumSeries adds multiple timelines pointwise.
-func sumSeries(stats *workload.Stats, names []string) []float64 {
-	var out []float64
-	for _, n := range names {
-		s := stats.Timeline(n).Rates()
-		for i, v := range s {
-			if i >= len(out) {
-				out = append(out, 0)
-			}
-			out[i] += v
-		}
-	}
-	return out
 }
 
 // modeName renders a cluster mode like the paper's labels.

@@ -77,28 +77,11 @@ func runFaultScenario(mode core.Mode, p Params) ([]float64, string, error) {
 	time.Sleep(p.Measure)
 	postRate := e.rate("count.total", 0, p.Measure)
 
-	series := sumSeries(e.stats, countTimelines(e))
+	series := e.stats.Rates("count/")
 	summary := fmt.Sprintf("pre-fault %.0f t/s, post-fault %.0f t/s (%.0f%%), crashes %d",
-		preRate, postRate, 100*postRate/maxf(preRate, 1), crashes)
+		preRate, postRate, 100*postRate/max(preRate, 1), crashes)
 	if fd != nil {
 		summary += fmt.Sprintf(", detected %d", fd.Detected())
 	}
 	return series, summary, nil
-}
-
-func countTimelines(e *env) []string {
-	var names []string
-	for _, n := range e.stats.Names() {
-		if len(n) > 6 && n[:6] == "count/" {
-			names = append(names, n)
-		}
-	}
-	return names
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -80,21 +80,11 @@ func runOverloadScenario(mode core.Mode, p Params) ([]float64, string, error) {
 
 	time.Sleep(p.Warmup + 4*p.Measure)
 
-	series := sumSeries(e.stats, countTimelinesOf(e, "count/"))
+	series := e.stats.Rates("count/")
 	splitters := len(e.cluster.WorkersOf("overload", "split"))
 	summary := fmt.Sprintf("splitter crashes %d, final splitters %d", crashes, splitters)
 	if as != nil {
 		summary += fmt.Sprintf(", scale-ups %d", as.ScaleUps())
 	}
 	return series, summary, nil
-}
-
-func countTimelinesOf(e *env, prefix string) []string {
-	var names []string
-	for _, n := range e.stats.Names() {
-		if len(n) >= len(prefix) && n[:len(prefix)] == prefix {
-			names = append(names, n)
-		}
-	}
-	return names
 }

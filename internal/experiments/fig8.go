@@ -24,19 +24,36 @@ var placements = []struct {
 // two-worker topology, Storm vs Typhoon at several batch sizes, with both
 // workers co-located (LOCAL) and on separate hosts (REMOTE).
 func Fig8a(p Params) Result {
-	return runForwarding("Fig 8a", "Tuple forwarding throughput (tuples/s)", p, 0)
+	res := Result{ID: "Fig 8a", Title: "Tuple forwarding throughput (tuples/s)", Columns: []string{"LOCAL", "REMOTE"}}
+	res.Err = runForwarding(p, 0, &res, nil)
+	return res
 }
 
-// Fig8b regenerates Fig 8(b): the same topology with guaranteed processing
-// through one acker worker.
-func Fig8b(p Params) Result {
-	return runForwarding("Fig 8b", "Tuple forwarding with ACK (tuples/s)", p, 1)
+// Fig8bcd regenerates Fig 8(b), 8(c) and 8(d) from one set of runs: the
+// same topology with guaranteed processing through one acker worker. Each
+// run fills one Fig 8b throughput cell and, from its source's completion
+// latencies, one row of the CDF for its placement: Fig 8c for LOCAL, Fig 8d
+// for REMOTE. CDF values are milliseconds at the 10th..100th percentile.
+func Fig8bcd(p Params) []Result {
+	deciles := []string{"P10", "P20", "P30", "P40", "P50", "P60", "P70", "P80", "P90", "P100"}
+	out := []Result{
+		{ID: "Fig 8b", Title: "Tuple forwarding with ACK (tuples/s)", Columns: []string{"LOCAL", "REMOTE"}},
+		{ID: "Fig 8c", Title: "Tuple latency CDF, local (ms at P10..P100)", Columns: deciles},
+		{ID: "Fig 8d", Title: "Tuple latency CDF, remote (ms at P10..P100)", Columns: deciles},
+	}
+	if err := runForwarding(p, 1, &out[0], out[1:]); err != nil {
+		for i := range out {
+			out[i].Err = err
+		}
+	}
+	return out
 }
 
-func runForwarding(id, title string, p Params, ackers int) Result {
+// runForwarding runs Storm and Typhoon at every batch size in both
+// placements. Each run adds its rate to tput's row for the configuration
+// and, when cdfs is given, its latency CDF to cdfs[placement].
+func runForwarding(p Params, ackers int, tput *Result, cdfs []Result) error {
 	p = p.WithDefaults()
-	res := Result{ID: id, Title: title, Columns: []string{"LOCAL", "REMOTE"}}
-
 	type config struct {
 		label string
 		mode  core.Mode
@@ -48,98 +65,45 @@ func runForwarding(id, title string, p Params, ackers int) Result {
 	}
 	for _, cfg := range configs {
 		row := Row{Label: cfg.label}
-		for _, place := range placements {
-			tput, err := measureForwarding(cfg.mode, cfg.batch, place.hosts, ackers, p)
+		for i, place := range placements {
+			rate, lat, err := measureForwarding(cfg.mode, cfg.batch, place.hosts, ackers, p)
 			if err != nil {
-				res.Err = err
-				return res
+				return err
 			}
-			row.Values = append(row.Values, tput)
+			row.Values = append(row.Values, rate)
+			if cdfs != nil {
+				cdfs[i].Rows = append(cdfs[i].Rows, cdfRow(cfg.label, lat))
+			}
 		}
-		res.Rows = append(res.Rows, row)
+		tput.Rows = append(tput.Rows, row)
 	}
-	return res
+	return nil
 }
 
-func measureForwarding(mode core.Mode, batch, hosts, ackers int, p Params) (float64, error) {
+// measureForwarding runs one forwarding configuration and returns the
+// sink's rate and the source's tuple completion latencies (empty unless
+// acked).
+func measureForwarding(mode core.Mode, batch, hosts, ackers int, p Params) (float64, *metrics.Histogram, error) {
 	e, err := startCluster(mode, hosts, func(c *core.Config) {
 		if batch > 0 {
 			c.DefaultBatchSize = batch
 		}
 	})
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	defer e.stop()
 	l, err := forwardingTopology("fwd", 1, ackers)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	if err := e.cluster.Submit(l, 10*time.Second); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	return e.rate("seq.seen", p.Warmup, p.Measure), nil
-}
-
-// Fig8c regenerates Fig 8(c): the CDF of end-to-end tuple latency with
-// acking, both workers on one host, Storm vs Typhoon batch sizes. Values
-// are milliseconds at the 10th..100th percentile.
-func Fig8c(p Params) Result {
-	return runLatency("Fig 8c", "Tuple latency CDF, local (ms at P10..P100)", p, 1)
-}
-
-// Fig8d regenerates Fig 8(d): the remote-placement latency CDF.
-func Fig8d(p Params) Result {
-	return runLatency("Fig 8d", "Tuple latency CDF, remote (ms at P10..P100)", p, 2)
-}
-
-func runLatency(id, title string, p Params, hosts int) Result {
-	p = p.WithDefaults()
-	res := Result{
-		ID: id, Title: title,
-		Columns: []string{"P10", "P20", "P30", "P40", "P50", "P60", "P70", "P80", "P90", "P100"},
-	}
-	type config struct {
-		label string
-		mode  core.Mode
-		batch int
-	}
-	configs := []config{{"STORM", core.ModeStorm, 0}}
-	for _, b := range BatchSizes {
-		configs = append(configs, config{fmt.Sprintf("TYPHOON (%d)", b), core.ModeTyphoon, b})
-	}
-	for _, cfg := range configs {
-		lat, err := measureLatency(cfg.mode, cfg.batch, hosts, p)
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		res.Rows = append(res.Rows, cdfRow(cfg.label, lat))
-	}
-	return res
-}
-
-func measureLatency(mode core.Mode, batch, hosts int, p Params) (*metrics.Histogram, error) {
-	e, err := startCluster(mode, hosts, func(c *core.Config) {
-		if batch > 0 {
-			c.DefaultBatchSize = batch
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer e.stop()
-	l, err := forwardingTopology("lat", 1, 1)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.cluster.Submit(l, 10*time.Second); err != nil {
-		return nil, err
-	}
-	time.Sleep(p.Warmup + p.Measure)
-	srcs := e.cluster.WorkersOf("lat", "src")
+	rate := e.rate("seq.seen", p.Warmup, p.Measure)
+	srcs := e.cluster.WorkersOf("fwd", "src")
 	if len(srcs) != 1 {
-		return nil, fmt.Errorf("experiments: source worker missing")
+		return 0, nil, fmt.Errorf("experiments: source worker missing")
 	}
-	return srcs[0].CompleteLatencies, nil
+	return rate, srcs[0].CompleteLatencies, nil
 }

@@ -2,27 +2,28 @@ package experiments
 
 // Entry is one runnable experiment.
 type Entry struct {
-	// ID matches the paper's table/figure numbering.
+	// ID names the paper's table or figure numbering.
 	ID string
-	// Run regenerates the result.
-	Run func(Params) Result
+	// Run regenerates the entry's results: one table or figure, or several
+	// rendered from one set of runs.
+	Run func(Params) []Result
+}
+
+// one wraps a single-result runner as an Entry.Run.
+func one(run func(Params) Result) func(Params) []Result {
+	return func(p Params) []Result { return []Result{run(p)} }
 }
 
 // All lists every experiment in paper order.
 func All() []Entry {
 	return []Entry{
-		{"fig8a", Fig8a},
-		{"fig8b", Fig8b},
-		{"fig8c", Fig8c},
-		{"fig8d", Fig8d},
-		{"fig9", Fig9},
-		{"fig10", Fig10},
-		{"fig11", Fig11},
+		{"fig8a", one(Fig8a)},
+		{"fig8bcd", Fig8bcd},
+		{"fig9", one(Fig9)},
+		{"fig10", one(Fig10)},
+		{"fig11", one(Fig11)},
 		{"fig12", Fig12},
-		{"fig14", Fig14},
-		{"table5", Table5},
-		{"stable", StableUpdate},
-		{"ablation-scheduler", AblationScheduler},
+		{"ablation-scheduler", one(AblationScheduler)},
 	}
 }
 

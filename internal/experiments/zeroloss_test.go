@@ -10,10 +10,12 @@ import (
 	"typhoon/internal/workload"
 )
 
-// TestReconfigurationZeroLoss asserts the §3.5 stable-update property at
-// the tuple level: under non-saturating load, scale-up and scale-down of a
-// stateless node lose no tuples (counted via the stats registry, which
-// survives worker removal).
+// TestReconfigurationZeroLoss asserts the §3.5 stable-update property
+// behind Fig 6 at the tuple level: under non-saturating load, scale-up and
+// scale-down of a stateless node (Fig 6a) and scale-up of a stateful node
+// (Fig 6b) lose no tuples (counted via the stats registry, which survives
+// worker removal), and the stateful scale-up flushes every old worker's
+// cache with a SIGNAL before rerouting.
 func TestReconfigurationZeroLoss(t *testing.T) {
 	e, err := startCluster(core.ModeTyphoon, 2, nil)
 	if err != nil {
@@ -100,4 +102,37 @@ func TestReconfigurationZeroLoss(t *testing.T) {
 	}
 	awaitFlow()
 	balance("after scale-down 3->1")
+
+	flushes0 := e.stats.Counter("count.flushes").Value()
+	if err := e.cluster.Manager.SetParallelism("stable", "count", 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.cluster.Manager.WaitReady("stable", 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	awaitFlow()
+	balance("after stateful scale-up 2->3")
+	if flushes := e.stats.Counter("count.flushes").Value() - flushes0; flushes < 2 {
+		t.Fatalf("stateful scale-up 2->3: %d SIGNAL flushes, want at least 2 (one per old count worker)", flushes)
+	}
+}
+
+// quiesce pauses or resumes the source workers through DEACTIVATE and
+// ACTIVATE control tuples.
+func quiesce(e *env, pause bool) {
+	kind := control.KindActivate
+	if pause {
+		kind = control.KindDeactivate
+	}
+	for _, w := range e.cluster.WorkersOf("stable", "src") {
+		_ = e.cluster.Controller.SendControlTuple("stable", w.ID(), control.Encode(kind, nil))
+	}
+}
+
+func totalEmitted(e *env, topo, node string) uint64 {
+	var n uint64
+	for _, w := range e.cluster.WorkersOf(topo, node) {
+		n += w.StatsSnapshot().Emitted
+	}
+	return n
 }

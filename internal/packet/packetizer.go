@@ -1,6 +1,9 @@
 package packet
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/rand/v2"
+)
 
 // Packetizer converts encoded tuples into frames. It mirrors the egress
 // workflow of the southbound transport library: multiple small tuples with
@@ -68,12 +71,18 @@ func (st *stage) payloadLen() int {
 }
 
 // NewPacketizer builds a Packetizer for a sender address. maxPayload <= 0
-// selects DefaultMaxPayload.
+// selects DefaultMaxPayload. A receiver keys reassembly by (source, segment
+// ID), and every controller sends from ControllerAddr, so a controller's
+// segment IDs start at a random value rather than at 0.
 func NewPacketizer(src Addr, maxPayload int) *Packetizer {
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxPayload
 	}
-	return &Packetizer{src: src, maxPayload: maxPayload, staged: make(map[Addr]*stage)}
+	p := &Packetizer{src: src, maxPayload: maxPayload, staged: make(map[Addr]*stage)}
+	if src == ControllerAddr {
+		p.nextSegID = rand.Uint32()
+	}
+	return p
 }
 
 // MaxPayload returns the frame payload budget.

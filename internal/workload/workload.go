@@ -103,6 +103,24 @@ func (s *Stats) Names() []string {
 	return out
 }
 
+// Rates adds the per-second rates of every timeline whose name starts with
+// prefix, bucket by bucket: the aggregate series of one node's workers.
+func (s *Stats) Rates(prefix string) []float64 {
+	var out []float64
+	for _, n := range s.Names() {
+		if !strings.HasPrefix(n, prefix) {
+			continue
+		}
+		for i, v := range s.Timeline(n).Rates() {
+			if i == len(out) {
+				out = append(out, 0)
+			}
+			out[i] += v
+		}
+	}
+	return out
+}
+
 // Config carries workload parameters components read at Open time.
 type Config struct {
 	mu sync.RWMutex

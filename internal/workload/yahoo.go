@@ -10,6 +10,7 @@ import (
 	"typhoon/internal/kafkasim"
 	"typhoon/internal/kvstore"
 	"typhoon/internal/metrics"
+	"typhoon/internal/topology"
 	"typhoon/internal/tuple"
 	"typhoon/internal/worker"
 )
@@ -29,6 +30,18 @@ const (
 	LogicJoin            = "yahoo/join"
 	LogicAggStore        = "yahoo/agg-store"
 )
+
+// YahooTopology builds the Fig 13 pipeline with the given filter logic.
+func YahooTopology(name string, app uint16, filterLogic string) (*topology.Logical, error) {
+	b := topology.NewBuilder(name, app)
+	b.Source("kafka", LogicKafkaClient, 1)
+	b.Node("parse", LogicParse, 1).ShuffleFrom("kafka")
+	b.Node("filter", filterLogic, 3).ShuffleFrom("parse")
+	b.Node("projection", LogicProjection, 3).ShuffleFrom("filter")
+	b.Node("join", LogicJoin, 3).FieldsFrom("projection", 0)
+	b.Node("agg", LogicAggStore, 1).FieldsFrom("join", 0)
+	return b.Build()
+}
 
 // AdEvent is the benchmark's input record.
 type AdEvent struct {

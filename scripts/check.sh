@@ -145,6 +145,14 @@ if grep -nE '^[[:space:]]*"(net|encoding/gob)"$' internal/coordinator/*.go; then
 	echo "internal/coordinator is in-process: no listener, no wire codec (see above)" >&2
 	exit 1
 fi
+# One program per paper result: the figure harness is typhoon-bench's alone.
+# An example is a program of its own (Fig 14 is examples/yahoo-ads) and takes
+# what it shares with a runner from internal/workload.
+if grep -rln --include='*.go' --exclude-dir=.bench_build '"typhoon/internal/experiments"' . |
+	grep -v '^\./cmd/typhoon-bench/'; then
+	echo "only cmd/typhoon-bench imports internal/experiments (see above)" >&2
+	exit 1
+fi
 go test -race ./...
 # bench/ is a module of its own, so ./... above does not see it; a signature
 # change must not break the benchmark unnoticed.
