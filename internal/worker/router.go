@@ -100,8 +100,12 @@ func (r *Router) routeInto(dst []Destination, t tuple.Tuple) []Destination {
 			// rendezvous hashing, so rescaling the destination node moves
 			// only the partitions whose owner changed and the controller's
 			// updater app can compute exactly which state entries migrate.
-			part := PartitionOf(tuple.HashFields(t, s.edge.HashFields))
-			idx := OwnerIndex(part, n)
+			// A lone next hop owns every partition, so its key is not hashed
+			// (one acker: every INIT and ACK record).
+			idx := 0
+			if n > 1 {
+				idx = OwnerIndex(PartitionOf(tuple.HashFields(t, s.edge.HashFields)), n)
+			}
 			dst = append(dst, Destination{Workers: s.nextHops[idx : idx+1]})
 		case topology.Global:
 			dst = append(dst, Destination{Workers: s.nextHops[:1]})

@@ -125,8 +125,11 @@ const DefaultFlushDeadline = time.Millisecond
 //   - per tuple (execute, dispatch, EmitOn, Router.routeInto, Send): plain
 //     single-goroutine work and atomic loads — no wall-clock read, select,
 //     lock or allocation, and no subscription-map probe while the stream
-//     repeats. (An acked source's pending stamp and the rate-limit wait of a
-//     throttled worker are the exceptions, off the unacked unthrottled path.)
+//     repeats. (The rate-limit wait of a throttled worker is the exception,
+//     off the unthrottled path.) An acked source tracks each tree in a slot
+//     of its slab (see slotBits) and stamps it with the clock read
+//     before the spout's Next, so it pays no map entry, heap box or clock
+//     read per tuple either.
 //   - per iteration: the stop/fail/hang checks (atomic loads), one Recv, one
 //     wall-clock read in front of a non-empty batch and one after it; the
 //     second drives the D flush gate, replay scan and stats push, charges the
@@ -165,7 +168,25 @@ type ackBatch struct {
 // rest stays undispatched, like whatever is still queued in the transport.
 var errStopping = errors.New("worker: stopping")
 
+// An acked source tracks its tuple trees in a slab of pendingEntry values
+// with a free list of slot indices. The low slotBits of a root name its slot
+// and the high bits are random, so roots of different sources still differ
+// at a shared acker and spread over the ackers by hash. COMPLETE finds a
+// tree from its root alone, and a slot stores its whole root, so a stale
+// root (from before a replay or a reuse of the slot) or a forged one
+// misses. The slab is made by the first tracked emission, at firstSlots,
+// and doubles whenever the free list runs dry, up to maxSlots; MaxPending
+// keeps a source far below that.
+const (
+	slotBits   = 20
+	maxSlots   = 1 << slotBits
+	slotMask   = maxSlots - 1
+	firstSlots = 64
+)
+
+// pendingEntry is one slot of the slab; root 0 marks a free slot.
 type pendingEntry struct {
+	root     uint64
 	stream   tuple.StreamID
 	values   []tuple.Value
 	emitted  time.Time
@@ -210,13 +231,18 @@ type Worker struct {
 	dests, sendDests              []Destination
 	lastSub                       tuple.StreamID
 
-	// Framework-layer state for guaranteed processing: the record sendAck
-	// routes and the acker batches it is staged in (see maxAckRecords).
+	// Framework-layer state for guaranteed processing: a source's slab of
+	// tracked trees, its free slots, how many are live and the stamp its
+	// emissions take (read before each Next); the record sendAck routes and
+	// the acker batches it is staged in (see maxAckRecords).
 	rng     *rand.Rand
 	curRoot uint64
 	curXor  uint64
 	anchor  bool
-	pending map[uint64]*pendingEntry
+	slab    []pendingEntry
+	free    []uint32
+	live    int
+	stamp   time.Time
 	ackRec  [4]tuple.Value
 	acks    []ackBatch
 
@@ -268,7 +294,7 @@ func New(cfg Config, tr Transport) (*Worker, error) {
 		done:              make(chan struct{}),
 		failInj:           make(chan error, 1),
 		rng:               rand.New(rand.NewSource(int64(cfg.ID)*2654435761 + 1)),
-		pending:           make(map[uint64]*pendingEntry),
+		stamp:             time.Now(),
 		CompleteLatencies: &metrics.Histogram{},
 		lastSub:           tuple.ControlStream, // never reaches the subscription check
 	}
@@ -448,8 +474,11 @@ func (w *Worker) run() {
 		}
 
 		// Emission phase for sources.
-		if spout != nil && w.active.Load() && len(w.pending) < w.cfg.MaxPending {
+		if spout != nil && w.active.Load() && w.live < w.cfg.MaxPending {
 			if w.rate.Allow() {
+				if w.cfg.Acking {
+					w.stamp = time.Now()
+				}
 				did, err := spout.Next(w.ctx)
 				if err != nil {
 					failure = fmt.Errorf("worker %d: next: %w", w.cfg.ID, err)
@@ -633,13 +662,12 @@ func (w *Worker) EmitOn(s tuple.StreamID, values ...tuple.Value) {
 		t.ID = w.nonZeroRand()
 		w.curXor ^= t.ID
 	} else if w.cfg.Acking && w.cfg.Source && !isFrameworkStream(s) {
-		root := w.nonZeroRand()
-		t.Root, t.ID = root, root
-		w.pending[root] = &pendingEntry{
-			stream:  s,
-			values:  values,
-			emitted: time.Now(),
+		root, ok := w.track(s, values)
+		if !ok {
+			w.nGaveUp++ // the slab is full: the tree could not be tracked
+			return
 		}
+		t.Root, t.ID = root, root
 		w.sendAck(0, root, root, uint64(w.cfg.ID))
 	}
 	for _, d := range dests {
@@ -707,45 +735,94 @@ func (w *Worker) sendAckBatch(b *ackBatch) {
 	b.vals = b.vals[:0]
 }
 
-// handleComplete retires the trees a COMPLETE tuple names: [src, root…].
+// track takes a free slot of the slab for a new tree emitted on s, growing
+// the slab when none is free, and returns the tree's root. It reports false
+// only when the slab is full at maxSlots.
+func (w *Worker) track(s tuple.StreamID, values []tuple.Value) (uint64, bool) {
+	if len(w.free) == 0 && !w.growSlab() {
+		return 0, false
+	}
+	slot := w.free[len(w.free)-1]
+	w.free = w.free[:len(w.free)-1]
+	w.live++
+	e := &w.slab[slot]
+	*e = pendingEntry{root: w.rootFor(slot), stream: s, values: values, emitted: w.stamp}
+	return e.root, true
+}
+
+// growSlab doubles the slab (or makes its first firstSlots) and frees the
+// new slots, lowest on top; it reports false once the slab holds maxSlots.
+func (w *Worker) growSlab() bool {
+	n := len(w.slab)
+	size := min(max(2*n, firstSlots), maxSlots)
+	if size == n {
+		return false
+	}
+	slab := make([]pendingEntry, size)
+	copy(slab, w.slab)
+	w.slab = slab
+	for i := size - 1; i >= n; i-- {
+		w.free = append(w.free, uint32(i))
+	}
+	return true
+}
+
+// rootFor draws a fresh root naming slot: random high bits, never 0.
+func (w *Worker) rootFor(slot uint32) uint64 {
+	for {
+		if root := w.rng.Uint64()<<slotBits | uint64(slot); root != 0 {
+			return root
+		}
+	}
+}
+
+// untrack frees the slot of a retired tree, dropping its values.
+func (w *Worker) untrack(slot uint32) {
+	w.slab[slot] = pendingEntry{}
+	w.free = append(w.free, slot)
+	w.live--
+}
+
+// handleComplete retires the trees a COMPLETE tuple names: [src, root…]. A
+// root comes off the wire, so its slot is bounds-checked and the tree retires
+// only on an exact root match.
 func (w *Worker) handleComplete(t tuple.Tuple) {
 	now := time.Now()
 	var done uint64
 	for i := 1; i < t.Len(); i++ {
 		root := uint64(t.Values[i].AsInt())
-		e := w.pending[root]
-		if e == nil {
+		slot := root & slotMask
+		if root == 0 || slot >= uint64(len(w.slab)) || w.slab[slot].root != root {
 			continue
 		}
-		delete(w.pending, root)
+		w.CompleteLatencies.Record(now.Sub(w.slab[slot].emitted))
+		w.untrack(uint32(slot))
 		done++
-		w.CompleteLatencies.Record(now.Sub(e.emitted))
 	}
 	w.completed.Add(done)
 }
 
+// replayExpired walks the slab once per AckTimeout/4. An expired tree is
+// replayed under a new root in the same slot, so a COMPLETE for its old root
+// misses, or given up after its last attempt.
 func (w *Worker) replayExpired(now time.Time) {
 	const maxAttempts = 5
-	for root, e := range w.pending {
-		if now.Sub(e.emitted) < w.cfg.AckTimeout {
+	for i := range w.slab {
+		e := &w.slab[i]
+		if e.root == 0 || now.Sub(e.emitted) < w.cfg.AckTimeout {
 			continue
 		}
-		delete(w.pending, root)
 		if e.attempts+1 >= maxAttempts {
+			w.untrack(uint32(i))
 			w.nGaveUp++
 			continue
 		}
 		w.replayed.Add(1)
-		newRoot := w.nonZeroRand()
+		e.root, e.emitted = w.rootFor(uint32(i)), now
+		e.attempts++
 		t := tuple.OnStream(e.stream, e.values...)
-		t.Root, t.ID = newRoot, newRoot
-		w.pending[newRoot] = &pendingEntry{
-			stream:   e.stream,
-			values:   e.values,
-			emitted:  now,
-			attempts: e.attempts + 1,
-		}
-		w.sendAck(0, newRoot, newRoot, uint64(w.cfg.ID))
+		t.Root, t.ID = e.root, e.root
+		w.sendAck(0, e.root, e.root, uint64(w.cfg.ID))
 		w.send(t)
 	}
 }

@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -886,10 +887,11 @@ type sent struct {
 	d      Destination
 	stream tuple.StreamID
 	fields int
+	root   uint64
 }
 
 func (s *sendLog) Send(d Destination, in tuple.Tuple) error {
-	s.sends = append(s.sends, sent{d, in.Stream, len(in.Values)})
+	s.sends = append(s.sends, sent{d, in.Stream, len(in.Values), in.Root})
 	return nil
 }
 
@@ -906,8 +908,9 @@ func ackRoute(to topology.WorkerID) topology.Route {
 // a scratch slice the worker owns. The acked-source case pins the one hazard
 // of that scratch: the INIT an acked source routes between routing a data
 // tuple and sending it must not overwrite the data tuple's destinations; and
-// it pins that the INIT is staged, not sent, and that staging and sending a
-// record batch allocate nothing.
+// it pins that the INIT is staged, not sent, that staging and sending a
+// record batch allocate nothing, and that in steady state an acked emit and
+// the COMPLETE that retires its tree allocate nothing either.
 func TestEmitPathAllocFree(t *testing.T) {
 	// No loop runs here, so sends holds the sends of the emissions since it
 	// was last cut back.
@@ -983,6 +986,23 @@ func TestEmitPathAllocFree(t *testing.T) {
 		if len(tr.sends) != 1 || tr.sends[0].stream != tuple.AckStream || tr.sends[0].fields != 4 {
 			t.Fatalf("sends = %+v, want one record batch", tr.sends)
 		}
+
+		vals := []tuple.Value{tuple.Int(5)}
+		complete := tuple.OnStream(tuple.CompleteStream, tuple.Int(1), tuple.Int(0))
+		before := w.completed.Load()
+		allocs = testing.AllocsPerRun(1000, func() {
+			tr.sends = tr.sends[:0]
+			w.Emit(vals...)
+			complete.Values[1] = tuple.Int(int64(tr.sends[0].root))
+			w.handleComplete(complete)
+			w.flushAcks()
+		})
+		if allocs != 0 {
+			t.Fatalf("an acked emit and its COMPLETE allocate %.2f objects, want 0", allocs)
+		}
+		if got := w.completed.Load() - before; got != 1001 {
+			t.Fatalf("Completed rose by %d over 1001 emitted trees", got)
+		}
 	})
 }
 
@@ -999,6 +1019,133 @@ func (s *burstSpout) Next(ctx *Context) (bool, error) {
 		ctx.Emit(tuple.Int(int64(s.n)))
 	}
 	return true, nil
+}
+
+// looplessAckedSource builds an acked source whose loop never runs, so a test
+// drives Emit, handleComplete and replayExpired itself. Its AckTimeout is 1 s.
+func looplessAckedSource(tb testing.TB) (*Worker, *sendLog) {
+	tb.Helper()
+	tr := &sendLog{Transport: NewChanNetwork().Attach(1)}
+	w, err := New(Config{
+		App: 1, ID: 1, Node: "src", Logic: "test/source", Source: true, Acking: true,
+		AckTimeout: time.Second,
+		Routes:     []topology.Route{dataRoute(2, topology.Shuffle), ackRoute(3)},
+	}, tr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return w, tr
+}
+
+// TestSlabSlotReuseAndGrowth: a replayed tree keeps its slot under a new
+// root, so a COMPLETE naming the old root retires nothing and the new root
+// retires it; and a source emitting more trees in one Next than the slab's
+// first size grows the slab and sees every tree complete.
+func TestSlabSlotReuseAndGrowth(t *testing.T) {
+	t.Run("replayed root", func(t *testing.T) {
+		w, tr := looplessAckedSource(t)
+		w.Emit(tuple.Int(5))
+		old := tr.sends[0].root
+		tr.sends = tr.sends[:0]
+		w.replayExpired(w.stamp.Add(time.Second))
+		if len(tr.sends) != 1 || tr.sends[0].root == old || tr.sends[0].root&slotMask != old&slotMask {
+			t.Fatalf("replay sent %+v, want one tuple under a new root in slot %d", tr.sends, old&slotMask)
+		}
+		fresh := tr.sends[0].root
+		complete := func(root uint64) {
+			w.handleComplete(tuple.OnStream(tuple.CompleteStream, tuple.Int(1), tuple.Int(int64(root))))
+		}
+		complete(old)
+		if got := w.completed.Load(); got != 0 || w.live != 1 {
+			t.Fatalf("the old root retired a tree: Completed %d, live %d", got, w.live)
+		}
+		complete(fresh)
+		if got := w.completed.Load(); got != 1 || w.live != 0 {
+			t.Fatalf("the new root: Completed %d, live %d; want 1, 0", got, w.live)
+		}
+		if got := w.StatsSnapshot().Replayed; got != 1 {
+			t.Fatalf("Replayed = %d, want 1", got)
+		}
+	})
+	t.Run("growth", func(t *testing.T) {
+		const n = 3*firstSlots + 5
+		src, _ := wireAckChain(t, NewChanNetwork(), &burstSpout{n: n})
+		waitFor(t, 10*time.Second, func() bool { return src.StatsSnapshot().Completed == n })
+		src.Stop()
+		if src.live != 0 || len(src.free) != len(src.slab) || len(src.slab) <= firstSlots {
+			t.Fatalf("after %d trees: live %d, %d free of %d slots", n, src.live, len(src.free), len(src.slab))
+		}
+	})
+}
+
+// FuzzHandleComplete: COMPLETE tuples arrive off the wire, so no length and
+// no root may panic the source, and one retires exactly the live trees it
+// names: Completed rises by the number of distinct live roots named. The
+// source holds five live trees, one of them replayed, whose old root is
+// stale. Each
+// input byte picks a value: a root the source knows, that root with other
+// high bits, eight raw bytes as an int, or a non-int value.
+func FuzzHandleComplete(f *testing.F) {
+	f.Add([]byte{0, 4, 8})
+	f.Add([]byte{0, 0, 16, 1, 2, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{3, 7, 11, 15, 19})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w, tr := looplessAckedSource(t)
+		w.handleComplete(tuple.OnStream(tuple.CompleteStream)) // no source field
+		for i := range 4 {
+			w.Emit(tuple.Int(int64(i)))
+		}
+		var known []uint64 // the live roots, then a stale one
+		for _, s := range tr.sends {
+			known = append(known, s.root)
+		}
+		w.stamp = w.stamp.Add(-time.Second) // the fifth tree is due for replay
+		w.Emit(tuple.Int(4))
+		known = append(known, tr.sends[len(tr.sends)-1].root)
+		tr.sends = tr.sends[:0]
+		w.replayExpired(w.stamp.Add(time.Second))
+		live := map[uint64]bool{tr.sends[0].root: true}
+		for _, r := range known[:4] {
+			live[r] = true
+		}
+		known = append(known, tr.sends[0].root)
+
+		vals := []tuple.Value{tuple.Int(1)}
+		for len(data) > 0 {
+			b := data[0]
+			data = data[1:]
+			switch b % 4 {
+			case 0:
+				vals = append(vals, tuple.Int(int64(known[int(b/4)%len(known)])))
+			case 1:
+				vals = append(vals, tuple.Int(int64(known[int(b/4)%len(known)]^uint64(b)<<40)))
+			case 2:
+				var raw [8]byte
+				data = data[copy(raw[:], data):]
+				vals = append(vals, tuple.Int(int64(binary.LittleEndian.Uint64(raw[:]))))
+			default:
+				vals = append(vals, tuple.String(string(data[:min(len(data), int(b/4))])))
+			}
+		}
+		named := map[uint64]bool{}
+		for _, v := range vals[1:] {
+			if r := uint64(v.AsInt()); live[r] {
+				named[r] = true
+			}
+		}
+		w.handleComplete(tuple.OnStream(tuple.CompleteStream, vals...))
+		if got := w.completed.Load(); got != uint64(len(named)) {
+			t.Fatalf("Completed = %d, want %d distinct live roots named", got, len(named))
+		}
+		if w.live != len(live)-len(named) {
+			t.Fatalf("live = %d, want %d", w.live, len(live)-len(named))
+		}
+		for i := range w.slab {
+			if r := w.slab[i].root; r != 0 && (!live[r] || named[r]) {
+				t.Fatalf("slot %d holds root %#x: a tree that should have retired, or an unknown one", i, r)
+			}
+		}
+	})
 }
 
 // anchoredFeed queues n tracked tuples (roots 1…n) for worker to, so that its
@@ -1223,8 +1370,15 @@ func TestStreamSubscriptionFilter(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return w.StatsSnapshot().Filtered == 1 })
 }
 
-// wireAckTopology builds src(1) -> mid(2) -> (terminal), with acker(3).
+// wireAckTopology builds src(1) -> mid(2) -> (terminal), with acker(3), the
+// source emitting srcLimit integers.
 func wireAckTopology(t *testing.T, net *ChanNetwork, srcLimit int64) (*Worker, *terminal) {
+	t.Helper()
+	return wireAckChain(t, net, &seqSource{limit: srcLimit})
+}
+
+// wireAckChain is wireAckTopology with any spout.
+func wireAckChain(t *testing.T, net *ChanNetwork, spout Component) (*Worker, *terminal) {
 	t.Helper()
 	term := &terminal{}
 	ackRoute := topology.Route{
@@ -1248,7 +1402,7 @@ func wireAckTopology(t *testing.T, net *ChanNetwork, srcLimit int64) (*Worker, *
 		App: 1, ID: 1, Node: "src", Source: true, Acking: true,
 		AckTimeout: 300 * time.Millisecond,
 		Routes:     []topology.Route{dataRoute(2, topology.Shuffle), ackRoute},
-	}, &seqSource{limit: srcLimit}, net.Attach(1))
+	}, spout, net.Attach(1))
 	return src, term
 }
 

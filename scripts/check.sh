@@ -33,8 +33,9 @@ fi
 # The worker loop pays per batch, not per tuple: the functions every tuple
 # passes through read no wall clock and take no lock or select. What is time-
 # or visibility-driven (real clock read, tally publication, the 2·D flush
-# gate) lives in Worker.onTick, called once per coarse-clock tick. EmitOn's
-# one time.Now() is the acked branch's pending stamp and stays.
+# gate) lives in Worker.onTick, called once per coarse-clock tick. An acked
+# source stamps its trees with the clock read before each spout Next, so
+# EmitOn reads no clock either.
 no_per_tuple() { # FILE RECEIVER NAME PATTERN
 	if ! sed -n "/^func ($2) $3(/,/^}/p" "$1" | grep -q .; then
 		echo "$1: no func ($2) $3; update the hot-path guard" >&2
@@ -51,7 +52,7 @@ no_per_tuple internal/worker/worker.go 'w \*Worker' dispatch "$per_tuple"
 no_per_tuple internal/worker/sdntransport.go 't \*SDNTransport' Send "$per_tuple"
 no_per_tuple internal/worker/sdntransport.go 't \*SDNTransport' Recv "$per_tuple"
 no_per_tuple internal/worker/router.go 'r \*Router' routeInto "$per_tuple"
-no_per_tuple internal/worker/worker.go 'w \*Worker' EmitOn '\.Lock\(\)|select \{'
+no_per_tuple internal/worker/worker.go 'w \*Worker' EmitOn "$per_tuple"
 no_per_tuple internal/switchfabric/switch.go 's \*Switch' processBatch "$per_tuple"
 # A staged tuple never waits out a timer: the worker loop flushes before it
 # blocks, so no wait is cut to the flush deadline (capWait) and worker.go arms
@@ -170,6 +171,9 @@ go test -fuzz '^FuzzDecodeControl$' -fuzztime 5s -run '^FuzzDecodeControl$' ./in
 # Ack tuples arrive off the wire: any field count or kind, against a
 # one-record-at-a-time reference.
 go test -fuzz '^FuzzAckerExecute$' -fuzztime 5s -run '^FuzzAckerExecute$' ./internal/ack/
+# COMPLETE tuples arrive off the wire too: any length or root, against the
+# source's slab of live trees.
+go test -fuzz '^FuzzHandleComplete$' -fuzztime 5s -run '^FuzzHandleComplete$' ./internal/worker/
 # The JSON bodies /api/v1 takes off the socket: scenario specs, and chaos
 # specs (a plan's events are the same Spec, decoded and validated alike).
 go test -fuzz '^FuzzParseSpec$' -fuzztime 5s -run '^FuzzParseSpec$' ./internal/scenario/
