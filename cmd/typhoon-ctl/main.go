@@ -22,9 +22,9 @@
 // Reconfigurations (scale, swap, kill — the dynamic topology manager
 // operations of §3.2) are requests to the cluster's own streaming manager,
 // which rewrites the global state in the coordinator; the controllers and
-// agents converge on it exactly as for in-process requests. Every
-// /api/v1/top request makes the controller issue a METRIC_REQ sweep through
-// the control-tuple path, so the rendered table is live.
+// agents converge on it exactly as for in-process requests. The worker rows
+// of /api/v1/top are the answers to the topology owner's METRIC_REQ sweeps
+// (every 500 ms through the control-tuple path); each row shows its age.
 package main
 
 import (

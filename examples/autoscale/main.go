@@ -1,5 +1,5 @@
 // Auto scaling (§4, Fig 11): an overloaded splitter's queue grows; the
-// auto-scaler app sees the pushed worker statistics and adds splitter
+// auto-scaler app sees the worker statistics it asks for and adds splitter
 // instances through the streaming manager before the worker runs out of
 // memory.
 //

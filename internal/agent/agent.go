@@ -36,11 +36,6 @@ const (
 	ModeStorm
 )
 
-// statsInterval is the SDN-mode workers' statistics push period (Fig 4's
-// worker statistics reporter), which keeps the controller's table warm
-// between METRIC_REQ sweeps.
-const statsInterval = 500 * time.Millisecond
-
 // Options configures an Agent.
 type Options struct {
 	Host string
@@ -475,7 +470,6 @@ func (a *Agent) launch(l *topology.Logical, p *topology.Physical, as topology.As
 	case ModeSDN:
 		// Sources wait for the controller's ACTIVATE after rules exist.
 		cfg.StartInactive = node.Source
-		cfg.StatsInterval = statsInterval
 		pt, err := a.opts.Switch.AddPort("w"+strconv.FormatUint(uint64(as.Worker), 10),
 			packet.WorkerAddr(l.App, uint32(as.Worker)))
 		if err != nil {

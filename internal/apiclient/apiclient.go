@@ -136,8 +136,8 @@ func (c *Client) Metrics() ([]observe.Sample, error) {
 	return out, err
 }
 
-// Top fetches the live cluster table. Each request makes the controller
-// issue a METRIC_REQ sweep, so worker rows track the data plane live.
+// Top fetches the live cluster table. Worker rows are the controllers'
+// cached METRIC_RESPs, each with its age; the request sends nothing.
 func (c *Client) Top() (observe.TopSnapshot, error) {
 	var snap observe.TopSnapshot
 	err := c.get("top", nil, &snap)

@@ -136,11 +136,12 @@ func TestConformanceFlushBeforeWait(t *testing.T) {
 // a cluster started with the deadline disabled and the threshold out of
 // reach: POST /api/v1/batch?deadline=2ms must reach every running worker's
 // loop. Completion alone would not show that — in a live cluster full frames
-// and the stats reporter's control flush also push staged tuples out (the
-// strict "nothing leaves until Stop" case is worker.TestFlushDeadline) — so
-// the check is the realized occupancy the same endpoint reports: frames that
-// left only when full or on a stats push carry ~100 tuples, frames flushed
-// every 2 ms behind a paced source carry a handful.
+// and the flush behind each METRIC_RESP a worker sends also push staged
+// tuples out (the strict "nothing leaves until Stop" case is
+// worker.TestFlushDeadline) — so the check is the realized occupancy the same
+// endpoint reports: frames that left only when full or behind a METRIC_RESP
+// carry ~100 tuples, frames flushed every 2 ms behind a paced source carry a
+// handful.
 func TestConformanceFlushDeadlineRetuneAPI(t *testing.T) {
 	p := &Params{
 		Keys: 8, PerKey: 400, Window: 10, Seed: 29,

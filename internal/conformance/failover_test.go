@@ -115,8 +115,8 @@ func TestWorkerRowsFreshThroughControllerFaults(t *testing.T) {
 		}
 		return age
 	}
-	// Unsolicited pushes come every 500 ms and sweeps every second, so a
-	// served table never holds a row much older than that.
+	// The topology's owner sweeps every 500 ms, so a served table never
+	// holds a row much older than that.
 	const fresh = 2.0
 	staysFresh := func(what string) {
 		t.Helper()

@@ -46,9 +46,9 @@ const (
 	// request's token.
 	KindMetricReq Kind = "METRIC_REQ"
 	// KindMetricResp carries a worker's statistics to the controller.
-	// Payload MetricResp. Emitted by workers — both as the answer to
-	// KindMetricReq and unsolicited every StatsInterval (Fig 4's worker
-	// statistics reporter); consumed by the controller's app host, which
+	// Payload MetricResp. Emitted by workers only as the answer to a
+	// KindMetricReq, with the request's token (Fig 4's worker statistics
+	// reporter); consumed by the controller's app host, which
 	// decodes it once into its (topology, worker) table — what the §4 apps,
 	// /api/v1/top and the typhoon_worker_* metrics read — and by the
 	// updater, which matches its barrier's tokens.
@@ -68,7 +68,8 @@ const (
 	KindDeactivate Kind = "DEACTIVATE"
 	// KindBatchSize adjusts the I/O layer batch size. Payload BatchSize.
 	// Emitted by controller apps tuning the latency/throughput trade-off
-	// of Fig 8; consumed by the worker's transport.
+	// of Fig 8; consumed by the worker framework layer, which keeps the
+	// flush deadline and hands the size to its transport (SetBatchSize).
 	KindBatchSize Kind = "BATCH_SIZE"
 	// KindSnapshotReq asks a stateful worker for the state entries of a
 	// key-partition range (§3.5 stable update). Payload SnapshotReq.

@@ -91,13 +91,16 @@ func (c *Controller) SetMeterRate(topoName, host string, rateBps uint64) error {
 type BandwidthConfig struct {
 	// LinkCapacityBps is the egress budget managed per host (bytes/sec).
 	LinkCapacityBps uint64
-	// Hysteresis is the fractional rate change below which reassignment is
-	// suppressed; defaults to 0.1 (10%).
-	Hysteresis float64
-	// MinShareFrac floors every metered tenant's rate at this fraction of
-	// the link capacity; defaults to 0.05 (5%).
-	MinShareFrac float64
 }
+
+const (
+	// rateHysteresis is the fractional rate change below which reassignment
+	// is suppressed, so steady state sends no MeterMods.
+	rateHysteresis = 0.1
+	// minShareFrac floors every metered tenant's rate at this fraction of
+	// the link capacity.
+	minShareFrac = 0.05
+)
 
 // BandwidthAllocator is the QoS control plane app: an online feedback loop
 // that reads the controller's worker statistics (like the auto-scaler) and
@@ -128,12 +131,6 @@ type BandwidthAllocator struct {
 func NewBandwidthAllocator(cfg BandwidthConfig) *BandwidthAllocator {
 	if cfg.LinkCapacityBps == 0 {
 		cfg.LinkCapacityBps = 64 << 20 // 64 MB/s default budget
-	}
-	if cfg.Hysteresis <= 0 {
-		cfg.Hysteresis = 0.1
-	}
-	if cfg.MinShareFrac <= 0 {
-		cfg.MinShareFrac = 0.05
 	}
 	return &BandwidthAllocator{
 		cfg:         cfg,
@@ -212,7 +209,7 @@ func (b *BandwidthAllocator) OnTick(c *Controller) {
 // allocateHost computes and applies one host's rate assignment.
 func (b *BandwidthAllocator) allocateHost(c *Controller, host string, tns []*tenant) {
 	capacity := b.cfg.LinkCapacityBps
-	floor := uint64(float64(capacity) * b.cfg.MinShareFrac)
+	floor := uint64(float64(capacity) * minShareFrac)
 
 	var reserved uint64
 	var burst, best []*tenant
@@ -303,5 +300,5 @@ func (b *BandwidthAllocator) withinHysteresis(c *Controller, topo, host string, 
 	if diff < 0 {
 		diff = -diff
 	}
-	return diff/float64(cur) < b.cfg.Hysteresis
+	return diff/float64(cur) < rateHysteresis
 }

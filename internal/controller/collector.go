@@ -22,20 +22,6 @@ func NewMetricsCollector(ctls ...*Controller) *MetricsCollector {
 	return &MetricsCollector{ctls: ctls}
 }
 
-// Poll asks every running controller for a fresh METRIC_REQ sweep of the
-// topologies it owns. The HTTP layer's /api/v1/top handler calls it before
-// reading.
-func (m *MetricsCollector) Poll() {
-	for _, c := range m.ctls {
-		if c.Stopped() {
-			continue
-		}
-		for _, name := range c.TopologyNames() {
-			c.RequestWorkerStats(name)
-		}
-	}
-}
-
 // Rows returns the worker table sorted by topology, node, worker — the
 // worker half of the observability top view. Every running controller
 // records every METRIC_RESP it is shown, so the newest row per (topology,
@@ -87,10 +73,10 @@ func (m *MetricsCollector) Rows() []observe.WorkerRow {
 }
 
 // Register adds the collector's cached rows to a registry as per-worker
-// gauge samples (typhoon_worker_*) plus its own sweep counters.
+// gauge samples (typhoon_worker_*) plus the controllers' sweep counters.
 func (m *MetricsCollector) Register(reg *observe.Registry) {
 	reg.CounterFunc("typhoon_collector_polls_total",
-		"METRIC_REQ sweeps issued by the metrics collector.", nil,
+		"METRIC_REQ sweeps the controllers sent, one per topology swept.", nil,
 		func() (n uint64) {
 			for _, c := range m.ctls {
 				n += c.statsSweeps.Load()

@@ -414,8 +414,8 @@ func (u *Updater) OnTick(c *Controller) {
 
 // OnControlTuple implements App: route a worker's answer to the exchange
 // its token names. METRIC_RESP, SNAPSHOT_RESP and RESTORE_RESP all carry
-// the token and the answering worker; unsolicited statistics carry token 0,
-// which no exchange uses.
+// the token and the answering worker; answers to the app host's sweeps carry
+// token 0, which no exchange uses.
 func (u *Updater) OnControlTuple(_ *Controller, _ string, _ packet.Addr, t tuple.Tuple) {
 	var head struct {
 		Token  uint64            `json:"token"`

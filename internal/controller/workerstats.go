@@ -21,8 +21,9 @@ import (
 // topology; only sending requests is gated on ownership.
 const (
 	// statsSweepInterval is the host's own sweep cadence for topologies no
-	// app is asking about.
-	statsSweepInterval = time.Second
+	// app is asking about. Workers send statistics only when asked, so an
+	// owned topology's rows are never older than this plus one tick.
+	statsSweepInterval = 500 * time.Millisecond
 	// statsTTL is how long a row outlives its last METRIC_RESP.
 	statsTTL = 30 * time.Second
 )
@@ -99,8 +100,8 @@ func (c *Controller) RequestWorkerStats(topoName string) {
 	workers := ts.physical.Workers
 	c.mu.Unlock()
 	c.statsSweeps.Add(1)
-	// Token 0, like an unsolicited push: the updater's drain barrier
-	// correlates on its own non-zero tokens and must not count these.
+	// Token 0: the updater's drain barrier correlates on its own non-zero
+	// tokens and must not count these.
 	req := control.Encode(control.KindMetricReq, control.MetricReq{})
 	for _, as := range workers {
 		_ = c.SendControlTuple(topoName, as.Worker, req)

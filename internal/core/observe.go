@@ -139,13 +139,7 @@ func (c *Cluster) TopSnapshot() observe.TopSnapshot {
 
 // ObserveHandler returns the cluster's observability HTTP handler: the
 // /metrics Prometheus exposition, the JSON /api/* endpoints, and pprof.
-// Requesting /api/v1/top triggers a METRIC_REQ sweep through the control-tuple
-// path so worker rows are fresh.
 func (c *Cluster) ObserveHandler() http.Handler {
-	var poll func()
-	if c.Obs.Collector != nil {
-		poll = c.Obs.Collector.Poll
-	}
 	var chaosHandler http.Handler
 	if c.Chaos != nil {
 		chaosHandler = c.Chaos.Handler()
@@ -166,7 +160,6 @@ func (c *Cluster) ObserveHandler() http.Handler {
 		Registry:     c.Obs.Registry,
 		Traces:       c.Obs.Traces,
 		Top:          c.TopSnapshot,
-		Poll:         poll,
 		Chaos:        chaosHandler,
 		Rescale:      rescaleHandler,
 		ControlPlane: controlPlaneHandler,

@@ -16,9 +16,9 @@ import (
 // In the baseline (Fig 11a) the overloaded splitter eventually dies with
 // an OutOfMemoryError analogue, recovers after restart, and keeps dying —
 // count throughput repeatedly dips. In Typhoon (Fig 11b/c) the auto-scaler
-// app notices the growing queue from pushed worker statistics and adds a
-// third splitter before memory runs out, after which throughput is stable
-// and no worker crashes.
+// app notices the growing queue from the worker statistics it asks for each
+// tick (METRIC_REQ → METRIC_RESP) and adds a third splitter before memory
+// runs out, after which throughput is stable and no worker crashes.
 func Fig11(p Params) Result {
 	p = p.WithDefaults()
 	res := Result{ID: "Fig 11", Title: "Auto scaling under overload"}

@@ -52,12 +52,9 @@ type ServerOptions struct {
 	Registry *Registry
 	// Traces backs /api/v1/traces; nil disables the route.
 	Traces *TraceLog
-	// Top builds the /api/v1/top table; nil disables the route.
+	// Top builds the /api/v1/top table; nil disables the route. It reads
+	// cached rows, each carrying its age; serving it sends nothing.
 	Top func() TopSnapshot
-	// Poll, when set, is invoked before Top on /api/v1/top requests — the
-	// hook the cluster uses to issue a METRIC_REQ sweep through the
-	// control-tuple path so the next scrape is fresh.
-	Poll func()
 	// Chaos, when non-nil, is mounted at /api/v1/chaos (fault injection
 	// over HTTP; GET lists injections, POST applies a fault spec).
 	Chaos http.Handler
@@ -137,9 +134,6 @@ func Handler(o ServerOptions) http.Handler {
 	}
 	if o.Top != nil {
 		route("top", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-			if o.Poll != nil {
-				o.Poll()
-			}
 			writeJSON(w, o.Top())
 		}))
 	}

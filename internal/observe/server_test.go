@@ -157,17 +157,3 @@ func TestPrometheusSurfaceUnversioned(t *testing.T) {
 		t.Fatalf("exposition missing counter:\n%s", rec.Body.String())
 	}
 }
-
-// TestTopPollHookRunsPerRequest: the METRIC_REQ sweep hook fires on every
-// top request.
-func TestTopPollHookRunsPerRequest(t *testing.T) {
-	polls := 0
-	o := testOptions()
-	o.Poll = func() { polls++ }
-	h := Handler(o)
-	get(t, h, "/api/v1/top")
-	get(t, h, "/api/v1/top")
-	if polls != 2 {
-		t.Fatalf("polls = %d, want 2", polls)
-	}
-}

@@ -204,10 +204,9 @@ func (t *TCPTransport) Recv(max int, wait time.Duration) ([]tuple.Tuple, error) 
 	return out, nil
 }
 
-// Reconfigure implements worker.Transport; the baseline's Netty-style
-// buffered writers flush on Flush, so the BATCH_SIZE knob (and any other
-// transport-level control tuple) is a no-op.
-func (t *TCPTransport) Reconfigure(tuple.Tuple) error { return nil }
+// SetBatchSize implements worker.Transport; the baseline's Netty-style
+// buffered writers flush on Flush, so the BATCH_SIZE knob is a no-op.
+func (t *TCPTransport) SetBatchSize(int) {}
 
 // InQueueLen implements worker.Transport.
 func (t *TCPTransport) InQueueLen() int { return len(t.inbox) }

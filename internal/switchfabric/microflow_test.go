@@ -24,6 +24,11 @@ func expectNoFrame(t *testing.T, p *Port) {
 	}
 }
 
+// noMatch reads the switch's table-miss drops in the form waitCounter polls.
+func noMatch(sw *Switch) func() uint64 {
+	return func() uint64 { return sw.CountersSnapshot().NoMatch }
+}
+
 // waitCounter polls fn until it reaches at least want.
 func waitCounter(t *testing.T, fn func() uint64, want uint64, what string) {
 	t.Helper()
@@ -61,11 +66,11 @@ func TestMicroflowNoStaleAfterFlowDelete(t *testing.T) {
 	if err := sw.ApplyFlowMod(fm); err != nil {
 		t.Fatal(err)
 	}
-	drops := sw.NoMatchDrops()
+	drops := sw.CountersSnapshot().NoMatch
 	if !p1.WriteFrame(frameFor(a2, a1, "stale?")) {
 		t.Fatal("WriteFrame failed")
 	}
-	waitCounter(t, sw.NoMatchDrops, drops+1, "NoMatchDrops")
+	waitCounter(t, noMatch(sw), drops+1, "NoMatch")
 	expectNoFrame(t, p2)
 }
 
@@ -148,11 +153,11 @@ func TestMicroflowNoStaleAfterWipeFlows(t *testing.T) {
 	if n := sw.WipeFlows(); n != 1 {
 		t.Fatalf("WipeFlows removed %d rules, want 1", n)
 	}
-	drops := sw.NoMatchDrops()
+	drops := sw.CountersSnapshot().NoMatch
 	if !p1.WriteFrame(frameFor(a2, a1, "wiped")) {
 		t.Fatal("WriteFrame failed")
 	}
-	waitCounter(t, sw.NoMatchDrops, drops+1, "NoMatchDrops")
+	waitCounter(t, noMatch(sw), drops+1, "NoMatch")
 	expectNoFrame(t, p2)
 }
 
@@ -175,11 +180,11 @@ func TestMicroflowNoStaleAfterIdleExpiry(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	drops := sw.NoMatchDrops()
+	drops := sw.CountersSnapshot().NoMatch
 	if !p1.WriteFrame(frameFor(a2, a1, "expired")) {
 		t.Fatal("WriteFrame failed")
 	}
-	waitCounter(t, sw.NoMatchDrops, drops+1, "NoMatchDrops")
+	waitCounter(t, noMatch(sw), drops+1, "NoMatch")
 	expectNoFrame(t, p2)
 }
 
@@ -201,11 +206,11 @@ func TestMicroflowRuleChurnLoop(t *testing.T) {
 		if err := sw.ApplyFlowMod(fm); err != nil {
 			t.Fatal(err)
 		}
-		drops := sw.NoMatchDrops()
+		drops := sw.CountersSnapshot().NoMatch
 		if !p1.WriteFrame(frameFor(a2, a1, "churn")) {
 			t.Fatal("WriteFrame failed")
 		}
-		waitCounter(t, sw.NoMatchDrops, drops+1, "NoMatchDrops")
+		waitCounter(t, noMatch(sw), drops+1, "NoMatch")
 	}
 	expectNoFrame(t, p2)
 }
@@ -221,16 +226,15 @@ func TestMicroflowHitMissAccounting(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		warm(t, p1, p2, a2, a1)
 	}
-	hits, misses := sw.MicroflowStats()
-	if misses < 1 {
-		t.Fatalf("MicroflowStats misses = %d, want >= 1", misses)
-	}
-	if hits < 1 {
-		t.Fatalf("MicroflowStats hits = %d, want >= 1 after repeated traffic", hits)
-	}
 	c := sw.CountersSnapshot()
-	if c.MicroflowHits != hits || c.MicroflowMisses != misses {
-		t.Fatalf("CountersSnapshot microflow fields diverge: %+v vs (%d, %d)", c, hits, misses)
+	if c.MicroflowMisses < 1 {
+		t.Fatalf("MicroflowMisses = %d, want >= 1", c.MicroflowMisses)
+	}
+	if c.MicroflowHits < 1 {
+		t.Fatalf("MicroflowHits = %d, want >= 1 after repeated traffic", c.MicroflowHits)
+	}
+	if c.Upcalls != c.MicroflowMisses {
+		t.Fatalf("Upcalls = %d, want MicroflowMisses %d", c.Upcalls, c.MicroflowMisses)
 	}
 }
 
@@ -440,13 +444,13 @@ func TestCacheAgreesWithClassifier(t *testing.T) {
 						want = groups[a.Group]
 					}
 				}
-				drops := sw.NoMatchDrops()
+				drops := sw.CountersSnapshot().NoMatch
 				if !ports[in-1].WriteFrame(frameFor(dst, src, "agree")) {
 					t.Fatal("WriteFrame failed")
 				}
 				if !arrived(sw, ports, want, drops, src, dst) {
 					t.Fatalf("seed %d step %d: frame in=%d %v→%v did not arrive where the reference sends it (port %d, 0 = drop; drops %d→%d)",
-						seed, step, in, src, dst, want, drops, sw.NoMatchDrops())
+						seed, step, in, src, dst, want, drops, sw.CountersSnapshot().NoMatch)
 				}
 			}
 		}
@@ -459,10 +463,10 @@ func TestCacheAgreesWithClassifier(t *testing.T) {
 func arrived(sw *Switch, ports []*Port, want uint32, drops uint64, src, dst packet.Addr) bool {
 	if want == 0 {
 		deadline := time.Now().Add(2 * time.Second)
-		for sw.NoMatchDrops() == drops && time.Now().Before(deadline) {
+		for sw.CountersSnapshot().NoMatch == drops && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
-		return sw.NoMatchDrops() > drops
+		return sw.CountersSnapshot().NoMatch > drops
 	}
 	frames, err := ports[want-1].ReadBatch(nil, 1, 2*time.Second)
 	if err != nil || len(frames) != 1 {
@@ -481,9 +485,9 @@ func TestMalformedFramesCountedAsReceived(t *testing.T) {
 	if !p1.WriteFrame([]byte{0xde, 0xad}) {
 		t.Fatal("WriteFrame failed")
 	}
-	waitCounter(t, sw.MalformedDrops, 1, "MalformedDrops")
-	if n := sw.NoMatchDrops(); n != 0 {
-		t.Fatalf("malformed frame counted as table miss: NoMatchDrops = %d", n)
+	waitCounter(t, func() uint64 { return sw.CountersSnapshot().Malformed }, 1, "Malformed")
+	if n := sw.CountersSnapshot().NoMatch; n != 0 {
+		t.Fatalf("malformed frame counted as table miss: NoMatch = %d", n)
 	}
 	var rx uint64
 	for _, ps := range sw.PortStatsSnapshot() {

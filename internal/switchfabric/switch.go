@@ -162,6 +162,9 @@ type Counters struct {
 	// Dropped counts frames lost in this switch: malformed frames, table
 	// misses, full egress rings, and full ingress rings.
 	Dropped uint64
+	// NoMatch counts received frames that matched no rule (also included
+	// in Dropped).
+	NoMatch uint64
 	// Malformed counts received frames discarded before lookup because
 	// their header failed to parse (also included in Dropped).
 	Malformed uint64
@@ -200,6 +203,12 @@ type Port struct {
 	rx *ring.Ring
 	tx *ring.Ring
 	qd *qdisc
+	// ctl is a worker port's control lane: a frame from the controller that
+	// its full egress queue refuses waits here instead of being dropped, and
+	// ReadBatch drains it first. An overloaded worker is the one the control
+	// plane most needs to reach (a METRIC_REQ, an INPUT_RATE); only
+	// refused frames take the lane, so frames that fit keep their order.
+	ctl *ring.Ring
 
 	rxPackets atomic.Uint64
 	rxBytes   atomic.Uint64
@@ -207,6 +216,12 @@ type Port struct {
 	txBytes   atomic.Uint64
 	txDropped atomic.Uint64
 }
+
+// controlLaneCapacity sizes a worker port's control lane (frames). It holds
+// what the controller sends an overloaded worker between two of its reads —
+// a METRIC_REQ per controller tick over reads seconds apart — or one segmented
+// control tuple of up to 2 MiB at the default 8 KiB payload.
+const controlLaneCapacity = 256
 
 // No returns the port number.
 func (p *Port) No() uint32 { return p.no }
@@ -237,10 +252,14 @@ func (p *Port) WriteFrameTimeout(frame []byte, wait time.Duration) error {
 }
 
 // ReadBatch reads frames the switch delivered to this port, waiting up to
-// wait for the first frame. With egress queues enabled frames arrive in
+// wait for the first frame. Frames in the control lane come first, in a
+// batch of their own. With egress queues enabled frames arrive in
 // deficit-round-robin order across classes. It returns ring.ErrClosed after
 // the port is removed and drained.
 func (p *Port) ReadBatch(dst [][]byte, max int, wait time.Duration) ([][]byte, error) {
+	if p.ctl != nil && p.ctl.Len() > 0 {
+		return p.ctl.DequeueBatch(dst, max, 0)
+	}
 	if p.qd != nil {
 		return p.qd.readBatch(dst, max, wait)
 	}
@@ -253,10 +272,14 @@ func (p *Port) Closed() bool { return p.rx.Closed() }
 // QueueLen reports frames queued toward the attached device, the
 // switch-side component of a worker's queue-status metric.
 func (p *Port) QueueLen() int {
-	if p.qd != nil {
-		return p.qd.queueLen()
+	n := 0
+	if p.ctl != nil {
+		n = p.ctl.Len()
 	}
-	return p.tx.Len()
+	if p.qd != nil {
+		return n + p.qd.queueLen()
+	}
+	return n + p.tx.Len()
 }
 
 // QueueStats reports per-class egress queue counters, or nil when the port
@@ -271,6 +294,9 @@ func (p *Port) QueueStats() []QueueStats {
 // closeRings closes every ring attached to the port.
 func (p *Port) closeRings() {
 	p.rx.Close()
+	if p.ctl != nil {
+		p.ctl.Close()
+	}
 	if p.qd != nil {
 		p.qd.close()
 	} else {
@@ -490,6 +516,9 @@ func (s *Switch) addPort(name string, addr packet.Addr, tunnel bool) (*Port, err
 		p.qd = newQdisc(s.opts.EgressQueues, s.opts.RingCapacity)
 	} else {
 		p.tx = ring.New(s.opts.RingCapacity)
+	}
+	if !tunnel {
+		p.ctl = ring.New(controlLaneCapacity)
 	}
 	s.ports[p.no] = p
 	s.rebuildView()
@@ -717,19 +746,6 @@ func (s *Switch) WipeFlows() int {
 // RuleCount reports the number of installed rules.
 func (s *Switch) RuleCount() int { return s.flows.len() }
 
-// NoMatchDrops reports frames dropped due to table miss.
-func (s *Switch) NoMatchDrops() uint64 { return s.rxDropsNoMatch.Load() }
-
-// MalformedDrops reports received frames discarded because their header
-// failed to parse.
-func (s *Switch) MalformedDrops() uint64 { return s.malformed.Load() }
-
-// MicroflowStats reports exact-match cache hits and misses across all
-// pumps.
-func (s *Switch) MicroflowStats() (hits, misses uint64) {
-	return s.mfHits.Load(), s.mfMisses.Load()
-}
-
 // CountersSnapshot aggregates the switch's frame accounting across ports.
 func (s *Switch) CountersSnapshot() Counters {
 	var c Counters
@@ -740,7 +756,8 @@ func (s *Switch) CountersSnapshot() Counters {
 	c.MicroflowMisses = s.mfMisses.Load()
 	c.Upcalls = c.MicroflowMisses
 	c.MeterDrops = s.meterDrops.Load()
-	c.Dropped = s.rxDropsNoMatch.Load() + c.Malformed + c.MeterDrops
+	c.NoMatch = s.rxDropsNoMatch.Load()
+	c.Dropped = c.NoMatch + c.Malformed + c.MeterDrops
 	v := s.view.Load()
 	for _, p := range v.ports {
 		rs := p.rx.Stats()
@@ -1032,6 +1049,11 @@ func (s *Switch) deliver(v *dataView, portNo uint32, frame []byte, tunDst string
 		accepted = p.qd.enqueue(queue, out)
 	} else {
 		accepted = p.tx.TryEnqueue(out)
+	}
+	if !accepted && p.ctl != nil {
+		if _, src, _ := packet.PeekAddrs(out); src.IsController() {
+			accepted = p.ctl.TryEnqueue(out)
+		}
 	}
 	if accepted {
 		if owned {

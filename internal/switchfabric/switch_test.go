@@ -113,11 +113,11 @@ func TestTableMissDrops(t *testing.T) {
 	p1, _ := sw.AddPort("w1", a1)
 	p1.WriteFrame(frameFor(a2, a1, "x"))
 	deadline := time.Now().Add(time.Second)
-	for sw.NoMatchDrops() == 0 && time.Now().Before(deadline) {
+	for sw.CountersSnapshot().NoMatch == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if sw.NoMatchDrops() != 1 {
-		t.Fatalf("NoMatchDrops = %d", sw.NoMatchDrops())
+	if n := sw.CountersSnapshot().NoMatch; n != 1 {
+		t.Fatalf("NoMatch = %d", n)
 	}
 }
 
@@ -320,6 +320,56 @@ func TestPacketOutInjection(t *testing.T) {
 	mustRead(t, p1)
 	if err := sw.Inject(openflow.PacketOut{}); err == nil {
 		t.Fatal("empty packet-out should fail")
+	}
+}
+
+// TestPacketOutToFullPortTakesControlLane: a controller frame that a worker
+// port's full egress ring refuses waits in the port's control lane and is
+// read ahead of the queued data; any other frame is still dropped.
+func TestPacketOutToFullPortTakesControlLane(t *testing.T) {
+	sw := New("host-1", 1, Options{RingCapacity: 4})
+	sw.Start()
+	t.Cleanup(sw.Stop)
+	a1, a2 := packet.WorkerAddr(1, 1), packet.WorkerAddr(1, 2)
+	p1, _ := sw.AddPort("w1", a1)
+	p2, _ := sw.AddPort("w2", a2)
+	if err := sw.ApplyFlowMod(unicastRule(p1.No(), a1, a2, p2.No())); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		p1.WriteFrame(frameFor(a2, a1, "data"))
+	}
+	for p2.QueueLen() < 4 {
+		time.Sleep(time.Millisecond)
+	}
+	inject := func(src packet.Addr) {
+		t.Helper()
+		if err := sw.Inject(openflow.PacketOut{
+			InPort:  openflow.PortController,
+			Actions: []openflow.Action{openflow.Output(p2.No())},
+			Data:    frameFor(a2, src, "ctl"),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drops := sw.CountersSnapshot().Dropped
+	inject(packet.ControllerAddr)
+	inject(a1)
+	if got := sw.CountersSnapshot().Dropped - drops; got != 1 {
+		t.Fatalf("%d frames dropped, want 1: the one not from the controller", got)
+	}
+	if got := p2.QueueLen(); got != 5 {
+		t.Fatalf("QueueLen = %d, want the 4 queued data frames plus the controller's", got)
+	}
+	frames, err := p2.ReadBatch(nil, 64, 0)
+	if err != nil || len(frames) != 1 {
+		t.Fatalf("first read: %d frames, err %v; want the controller frame alone", len(frames), err)
+	}
+	if _, src, _ := packet.PeekAddrs(frames[0]); !src.IsController() {
+		t.Fatalf("first frame is from %v, want the controller", src)
+	}
+	if frames, _ = p2.ReadBatch(nil, 64, 0); len(frames) != 4 {
+		t.Fatalf("second read: %d frames, want the 4 queued data frames", len(frames))
 	}
 }
 

@@ -142,9 +142,9 @@ func (t *ChanTransport) Recv(max int, wait time.Duration) ([]tuple.Tuple, error)
 // Flush implements Transport (no batching to flush).
 func (t *ChanTransport) Flush() error { return nil }
 
-// Reconfigure implements Transport: the channel transport has no knobs,
-// so every control tuple is ignored.
-func (t *ChanTransport) Reconfigure(tuple.Tuple) error { return nil }
+// SetBatchSize implements Transport: the channel transport has no batch
+// threshold.
+func (t *ChanTransport) SetBatchSize(int) {}
 
 // InQueueLen implements Transport.
 func (t *ChanTransport) InQueueLen() int { return len(t.inbox) }

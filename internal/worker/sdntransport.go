@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"typhoon/internal/clock"
-	"typhoon/internal/control"
 	"typhoon/internal/packet"
 	"typhoon/internal/switchfabric"
 	"typhoon/internal/topology"
@@ -309,24 +308,7 @@ func (t *SDNTransport) decodeFrame(fr []byte) {
 	}
 }
 
-// Reconfigure implements Transport: BATCH_SIZE tuples adjust the egress
-// batch threshold (their flush deadline belongs to the worker loop); other
-// kinds are ignored.
-func (t *SDNTransport) Reconfigure(in tuple.Tuple) error {
-	kind, err := control.DecodeKind(in)
-	if err != nil || kind != control.KindBatchSize {
-		return nil
-	}
-	var b control.BatchSize
-	if err := control.DecodePayload(in, &b); err != nil {
-		return err
-	}
-	t.SetBatchSize(b.Size)
-	return nil
-}
-
-// SetBatchSize adjusts the egress batch threshold directly (the
-// Reconfigure path decodes BATCH_SIZE tuples into this).
+// SetBatchSize implements Transport: it adjusts the egress batch threshold.
 func (t *SDNTransport) SetBatchSize(n int) {
 	if n > 0 {
 		t.batch.Store(int64(n))

@@ -26,8 +26,9 @@ type Transport interface {
 	// past the call (staged, queued or handed to a receiver) holds a copy,
 	// so the caller may reuse the slice (the worker's acker batches do).
 	Send(d Destination, t tuple.Tuple) error
-	// SendControl sends a tuple to the SDN controller (METRIC_RESP). On
-	// transports without a controller path it is a no-op.
+	// SendControl sends a tuple to the SDN controller (METRIC_RESP) and
+	// flushes: a control reply is never left staged. On transports without
+	// a controller path it is a no-op.
 	SendControl(t tuple.Tuple) error
 	// Recv returns the next batch of incoming tuples, waiting up to wait
 	// for the first. The returned slice may be a view into a transport-
@@ -37,12 +38,10 @@ type Transport interface {
 	Recv(max int, wait time.Duration) ([]tuple.Tuple, error)
 	// Flush pushes any batched tuples to the wire.
 	Flush() error
-	// Reconfigure applies a transport-level control tuple (BATCH_SIZE
-	// adjusts the egress batch threshold; future kinds slot in without
-	// widening this interface). Transports ignore kinds they do not
-	// understand and return nil; an error means the tuple was understood
-	// but malformed or inapplicable.
-	Reconfigure(t tuple.Tuple) error
+	// SetBatchSize sets the egress batch threshold (a BATCH_SIZE tuple's
+	// Size, which the worker decodes); n <= 0 keeps the current one, and
+	// transports without a threshold ignore it.
+	SetBatchSize(n int)
 	// InQueueLen reports tuples/frames queued toward this worker, the
 	// queue-status metric the auto-scaler polls.
 	InQueueLen() int

@@ -53,10 +53,6 @@ type Config struct {
 	// activates them once flow rules are in place (deployment step v of
 	// §3.2 and the ACTIVATE tuple of Table 2).
 	StartInactive bool
-	// StatsInterval makes the worker statistics reporter (Fig 4) push
-	// unsolicited METRIC_RESP tuples to the controller this often; zero
-	// disables pushing (metrics then flow only on METRIC_REQ).
-	StatsInterval time.Duration
 	// Env is the shared environment passed to components.
 	Env *SharedEnv
 	// OnExit, when set, is invoked once when the worker stops, with nil
@@ -132,9 +128,11 @@ const DefaultFlushDeadline = time.Millisecond
 //     read per tuple either.
 //   - per iteration: the stop/fail/hang checks (atomic loads), one Recv, one
 //     wall-clock read in front of a non-empty batch and one after it; the
-//     second drives the D flush gate, replay scan and stats push, charges the
-//     batch to procNanos and is followed by publishTallies. The staged acker
-//     records leave then too, one tuple per acker (flushAcks).
+//     second drives the D flush gate and the replay scan, charges the batch
+//     to procNanos and is followed by publishTallies. The staged acker
+//     records leave then too, one tuple per acker (flushAcks). The loop
+//     keeps no timer for the control plane: statistics leave only as the
+//     answer to a METRIC_REQ.
 //   - per coarse-clock tick (clock.CoarseGranularity) seen inside a batch:
 //     onTick — one wall-clock read for the 2·D flush gate, and publishTallies,
 //     so another goroutine's view of Processed/Emitted is never more than one
@@ -419,7 +417,6 @@ func (w *Worker) run() {
 
 	w.lastFlush = time.Now()
 	lastReplayScan := time.Now()
-	lastStats := time.Now()
 	idleWait := boltIdleWait
 	var doze *clock.Dozer
 	if spout != nil {
@@ -499,10 +496,6 @@ func (w *Worker) run() {
 		w.flushAcks()
 		w.flushIfDue(now, 1)
 		w.publishTallies()
-		if w.cfg.StatsInterval > 0 && now.Sub(lastStats) >= w.cfg.StatsInterval {
-			w.pushStats()
-			lastStats = now
-		}
 		switch {
 		case worked:
 			lastWork, wait = now, 0
@@ -854,12 +847,14 @@ func (w *Worker) handleControl(t tuple.Tuple) {
 		}
 	case control.KindBatchSize:
 		// The time bound on staging is this loop's; the count threshold is
-		// the transport's, which takes the tuple whole.
+		// the transport's.
 		var b control.BatchSize
-		if control.DecodePayload(t, &b) == nil && b.FlushDeadline != 0 {
-			w.cfg.FlushInterval = b.FlushDeadline
+		if control.DecodePayload(t, &b) == nil {
+			if b.FlushDeadline != 0 {
+				w.cfg.FlushInterval = b.FlushDeadline
+			}
+			w.tr.SetBatchSize(b.Size)
 		}
-		_ = w.tr.Reconfigure(t)
 	case control.KindActivate:
 		w.active.Store(true)
 	case control.KindDeactivate:
@@ -874,11 +869,6 @@ func (w *Worker) handleControl(t tuple.Tuple) {
 		if control.DecodePayload(t, &r) == nil {
 			w.restoreState(r)
 		}
-	default:
-		// Transport-level knobs go to the transport whole: it decodes what
-		// it understands and ignores the rest, so new control-tuple kinds
-		// never widen the interface.
-		_ = w.tr.Reconfigure(t)
 	}
 }
 
@@ -895,7 +885,6 @@ func (w *Worker) sendSnapshot(req control.SnapshotReq) {
 		}
 	}
 	_ = w.tr.SendControl(control.Encode(control.KindSnapshotResp, resp))
-	_ = w.tr.Flush()
 }
 
 // restoreState applies a RESTORE (replace semantics) and acknowledges it.
@@ -905,13 +894,7 @@ func (w *Worker) restoreState(r control.Restore) {
 	}
 	_ = w.tr.SendControl(control.Encode(control.KindRestoreResp,
 		control.RestoreResp{Token: r.Token, Worker: w.cfg.ID}))
-	_ = w.tr.Flush()
 }
-
-// pushStats is the worker statistics reporter of Fig 4: unsolicited
-// metrics toward the controller so overload is visible even when the
-// worker's ingress path is congested.
-func (w *Worker) pushStats() { w.sendMetrics(0) }
 
 func (w *Worker) sendMetrics(token uint64) {
 	w.publishTallies()

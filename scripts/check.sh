@@ -119,6 +119,28 @@ if grep -n 'KindMetricReq\|control\.MetricResp' internal/controller/*.go |
 	echo "METRIC_REQ/METRIC_RESP handled outside workerstats.go and updater.go (see above)" >&2
 	exit 1
 fi
+# Statistics leave a worker only when asked: sendMetrics has one caller,
+# handleControl's METRIC_REQ case, and no push interval remains. The worker's
+# framework layer is the only code that reads a control tuple (the transport
+# takes a decoded batch size), and /api/v1/top reads cached rows without
+# triggering a sweep.
+metric_calls=$(awk '/^func /{fn=$0; cs=""} /^\tcase /{cs=$0}
+	/sendMetrics\(/ && !/^func \([^)]*\) sendMetrics\(/{print FILENAME ":" FNR ": " fn " / " cs}' \
+	$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*'))
+if [ "$(printf '%s\n' "$metric_calls" | grep -c .)" != 1 ] ||
+	! printf '%s\n' "$metric_calls" | grep -q 'handleControl(.*/.*case control\.KindMetricReq:'; then
+	printf '%s\n' "$metric_calls" >&2
+	echo "sendMetrics called other than once, from handleControl's METRIC_REQ case (see above)" >&2
+	exit 1
+fi
+if grep -rn 'StatsInterval' internal/worker internal/agent ||
+	grep -rn 'Reconfigure' internal/worker internal/storm ||
+	awk '/^type ServerOptions struct/{in_opts=1} in_opts && /^}/{in_opts=0}
+		in_opts && /^[[:space:]]+Poll[[:space:]]/{print FILENAME ":" FNR ": " $0; found=1} END{exit !found}' \
+		internal/observe/server.go; then
+	echo "a statistics push, a transport that parses control tuples, or a /top poll hook (see above)" >&2
+	exit 1
+fi
 # The control plane waits on coordinator events (coordinator.Await) and the
 # updater's one exchange loop, not on a clock: no condition poll in the
 # controller or the manager, and no timer in the manager's readiness wait.

@@ -181,7 +181,8 @@ type (
 type (
 	// FaultDetector reroutes around dead workers on port-removal events.
 	FaultDetector = controller.FaultDetector
-	// AutoScaler scales nodes from pushed worker statistics.
+	// AutoScaler scales nodes from the worker statistics its METRIC_REQ
+	// sweeps bring back.
 	AutoScaler = controller.AutoScaler
 	// AutoScalePolicy configures the auto-scaler.
 	AutoScalePolicy = controller.AutoScalePolicy
