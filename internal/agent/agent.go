@@ -454,7 +454,6 @@ func (a *Agent) launch(l *topology.Logical, p *topology.Physical, as topology.As
 		Index:         as.Index,
 		Logic:         node.Logic,
 		Source:        node.Source,
-		Stateful:      node.Stateful,
 		Routes:        topology.RoutesFor(l, p, as.Node),
 		Acking:        l.Ackers > 0,
 		FlushInterval: flushDeadline,

@@ -29,7 +29,6 @@ const DefaultCapacity = 4096
 type Stats struct {
 	Enqueued uint64 // frames accepted
 	Dropped  uint64 // frames rejected because the ring was full
-	Dequeued uint64 // frames consumed
 	Bytes    uint64 // payload bytes accepted
 }
 
@@ -41,7 +40,6 @@ type Ring struct {
 
 	enqueued atomic.Uint64
 	dropped  atomic.Uint64
-	dequeued atomic.Uint64
 	bytes    atomic.Uint64
 }
 
@@ -136,19 +134,16 @@ func (r *Ring) EnqueueTimeout(frame []byte, wait time.Duration) error {
 func (r *Ring) Dequeue() ([]byte, error) {
 	select {
 	case f := <-r.ch:
-		r.dequeued.Add(1)
 		return f, nil
 	default:
 	}
 	select {
 	case f := <-r.ch:
-		r.dequeued.Add(1)
 		return f, nil
 	case <-r.closed:
 		// Drain anything raced in before close.
 		select {
 		case f := <-r.ch:
-			r.dequeued.Add(1)
 			return f, nil
 		default:
 			return nil, ErrClosed
@@ -174,7 +169,6 @@ func (r *Ring) DequeueBatch(dst [][]byte, max int, wait time.Duration) ([][]byte
 	for len(dst) > 0 && max > 1 {
 		select {
 		case f := <-r.ch:
-			r.dequeued.Add(1)
 			dst = append(dst, f)
 			max--
 		default:
@@ -188,7 +182,6 @@ func (r *Ring) DequeueBatch(dst [][]byte, max int, wait time.Duration) ([][]byte
 func (r *Ring) dequeueTimeout(wait time.Duration) ([]byte, error) {
 	select {
 	case f := <-r.ch:
-		r.dequeued.Add(1)
 		return f, nil
 	default:
 	}
@@ -199,14 +192,12 @@ func (r *Ring) dequeueTimeout(wait time.Duration) ([]byte, error) {
 	defer timer.Stop()
 	select {
 	case f := <-r.ch:
-		r.dequeued.Add(1)
 		return f, nil
 	case <-timer.C:
 		return nil, nil
 	case <-r.closed:
 		select {
 		case f := <-r.ch:
-			r.dequeued.Add(1)
 			return f, nil
 		default:
 			return nil, ErrClosed
@@ -235,7 +226,6 @@ func (r *Ring) Stats() Stats {
 	return Stats{
 		Enqueued: r.enqueued.Load(),
 		Dropped:  r.dropped.Load(),
-		Dequeued: r.dequeued.Load(),
 		Bytes:    r.bytes.Load(),
 	}
 }

@@ -35,9 +35,6 @@ func TestDequeueFIFO(t *testing.T) {
 	if string(b) != "2" {
 		t.Fatalf("got %q", b)
 	}
-	if r.Stats().Dequeued != 2 {
-		t.Fatal("dequeued counter wrong")
-	}
 }
 
 func TestBlockingEnqueueReleasedByConsumer(t *testing.T) {

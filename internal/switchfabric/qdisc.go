@@ -26,7 +26,7 @@ const drrQuantumUnit = 2048
 // qdisc is a per-port egress queueing discipline: one ring per class,
 // drained by byte-accounted deficit round-robin. The enqueue side (switch
 // pumps) is concurrency-safe; the dequeue side carries the scheduler state
-// (cursor, deficits, scratch) unlocked and therefore requires the single
+// (cursor, deficits) unlocked and therefore requires the single
 // consumer every port already has (its attached device or tunnel pump).
 type qdisc struct {
 	classes []qclass
@@ -34,8 +34,7 @@ type qdisc struct {
 
 	// Consumer-side state.
 	cur    int
-	resume bool     // cur's visit was cut off by max with deficit left
-	one    [][]byte // scratch for single-frame pops
+	resume bool // cur's visit was cut off by max with deficit left
 }
 
 type qclass struct {
@@ -49,7 +48,6 @@ func newQdisc(classes []QueueClass, capacity int) *qdisc {
 	q := &qdisc{
 		classes: make([]qclass, len(classes)),
 		notify:  make(chan struct{}, 1),
-		one:     make([][]byte, 0, 1),
 	}
 	for i, c := range classes {
 		w := c.Weight
@@ -124,15 +122,12 @@ func (q *qdisc) readBatch(dst [][]byte, max int, wait time.Duration) ([][]byte, 
 				c.deficit += c.quantum
 			}
 			for c.deficit > 0 && len(dst) < max {
-				q.one = q.one[:0]
-				one, err := c.ring.DequeueBatch(q.one, 1, 0)
-				if err != nil || len(one) == 0 {
+				n := len(dst) // a pop that does not wait cannot fail
+				if dst, _ = c.ring.DequeueBatch(dst, 1, 0); len(dst) == n {
 					c.deficit = 0
 					break
 				}
-				q.one = one
-				c.deficit -= len(one[0])
-				dst = append(dst, one[0])
+				c.deficit -= len(dst[n])
 			}
 			if len(dst) >= max {
 				if c.deficit > 0 && c.ring.Len() > 0 {
@@ -179,21 +174,9 @@ func (q *qdisc) readBatch(dst [][]byte, max int, wait time.Duration) ([][]byte, 
 	}
 }
 
-// queueLen sums frames queued across all classes.
-func (q *qdisc) queueLen() int {
-	n := 0
-	for i := range q.classes {
-		n += q.classes[i].ring.Len()
-	}
-	return n
-}
-
-// close closes every class ring and kicks the notify channel so a consumer
-// blocked in readBatch re-sweeps and observes the closure immediately.
-func (q *qdisc) close() {
-	for i := range q.classes {
-		q.classes[i].ring.Close()
-	}
+// wake kicks the notify channel so a consumer blocked in readBatch
+// re-sweeps and observes its closed class rings immediately.
+func (q *qdisc) wake() {
 	select {
 	case q.notify <- struct{}{}:
 	default:

@@ -203,25 +203,18 @@ type Port struct {
 	rx *ring.Ring
 	tx *ring.Ring
 	qd *qdisc
-	// ctl is a worker port's control lane: a frame from the controller that
-	// its full egress queue refuses waits here instead of being dropped, and
-	// ReadBatch drains it first. An overloaded worker is the one the control
-	// plane most needs to reach (a METRIC_REQ, an INPUT_RATE); only
-	// refused frames take the lane, so frames that fit keep their order.
+	// ctl is a worker port's control lane, the one way in for a frame the
+	// controller sends (a PACKET_OUT). It is read ahead of the data queue and
+	// has the data ring's capacity, so a segmented control tuple that fits
+	// one fits the other. Tunnel ports have no lane.
 	ctl *ring.Ring
+	// egress lists the rings toward the device (tx or qd's classes, then
+	// ctl); deliver offers a frame to one of them, so their sums count it once.
+	egress []*ring.Ring
 
 	rxPackets atomic.Uint64
 	rxBytes   atomic.Uint64
-	txPackets atomic.Uint64
-	txBytes   atomic.Uint64
-	txDropped atomic.Uint64
 }
-
-// controlLaneCapacity sizes a worker port's control lane (frames). It holds
-// what the controller sends an overloaded worker between two of its reads —
-// a METRIC_REQ per controller tick over reads seconds apart — or one segmented
-// control tuple of up to 2 MiB at the default 8 KiB payload.
-const controlLaneCapacity = 256
 
 // No returns the port number.
 func (p *Port) No() uint32 { return p.no }
@@ -257,13 +250,23 @@ func (p *Port) WriteFrameTimeout(frame []byte, wait time.Duration) error {
 // deficit-round-robin order across classes. It returns ring.ErrClosed after
 // the port is removed and drained.
 func (p *Port) ReadBatch(dst [][]byte, max int, wait time.Duration) ([][]byte, error) {
-	if p.ctl != nil && p.ctl.Len() > 0 {
-		return p.ctl.DequeueBatch(dst, max, 0)
+	if ctl := p.ReadControl(dst, max); len(ctl) > len(dst) {
+		return ctl, nil
 	}
 	if p.qd != nil {
 		return p.qd.readBatch(dst, max, wait)
 	}
 	return p.tx.DequeueBatch(dst, max, wait)
+}
+
+// ReadControl reads up to max frames from the control lane alone, without
+// waiting; it returns dst unchanged when the lane is empty.
+func (p *Port) ReadControl(dst [][]byte, max int) [][]byte {
+	if p.ctl == nil || p.ctl.Len() == 0 {
+		return dst
+	}
+	dst, _ = p.ctl.DequeueBatch(dst, max, 0) // a read that does not wait cannot fail
+	return dst
 }
 
 // Closed reports whether the port has been removed from the switch.
@@ -273,13 +276,10 @@ func (p *Port) Closed() bool { return p.rx.Closed() }
 // switch-side component of a worker's queue-status metric.
 func (p *Port) QueueLen() int {
 	n := 0
-	if p.ctl != nil {
-		n = p.ctl.Len()
+	for _, r := range p.egress {
+		n += r.Len()
 	}
-	if p.qd != nil {
-		return n + p.qd.queueLen()
-	}
-	return n + p.tx.Len()
+	return n
 }
 
 // QueueStats reports per-class egress queue counters, or nil when the port
@@ -291,16 +291,25 @@ func (p *Port) QueueStats() []QueueStats {
 	return p.qd.queueStats()
 }
 
+// txStats sums the counters of the port's egress rings.
+func (p *Port) txStats() (sum ring.Stats) {
+	for _, r := range p.egress {
+		st := r.Stats()
+		sum.Enqueued += st.Enqueued
+		sum.Dropped += st.Dropped
+		sum.Bytes += st.Bytes
+	}
+	return sum
+}
+
 // closeRings closes every ring attached to the port.
 func (p *Port) closeRings() {
 	p.rx.Close()
-	if p.ctl != nil {
-		p.ctl.Close()
+	for _, r := range p.egress {
+		r.Close()
 	}
 	if p.qd != nil {
-		p.qd.close()
-	} else {
-		p.tx.Close()
+		p.qd.wake()
 	}
 }
 
@@ -514,11 +523,16 @@ func (s *Switch) addPort(name string, addr packet.Addr, tunnel bool) (*Port, err
 	}
 	if len(s.opts.EgressQueues) > 0 {
 		p.qd = newQdisc(s.opts.EgressQueues, s.opts.RingCapacity)
+		for i := range p.qd.classes {
+			p.egress = append(p.egress, p.qd.classes[i].ring)
+		}
 	} else {
 		p.tx = ring.New(s.opts.RingCapacity)
+		p.egress = append(p.egress, p.tx)
 	}
 	if !tunnel {
-		p.ctl = ring.New(controlLaneCapacity)
+		p.ctl = ring.New(s.opts.RingCapacity)
+		p.egress = append(p.egress, p.ctl)
 	}
 	s.ports[p.no] = p
 	s.rebuildView()
@@ -691,7 +705,8 @@ func (s *Switch) MeterStatsSnapshot() []MeterInfo {
 func (s *Switch) MeterDrops() uint64 { return s.meterDrops.Load() }
 
 // Inject processes a controller PACKET_OUT: the data frame is run through
-// the explicit action list with in_port as given.
+// the explicit action list with in_port as given. A frame the controller
+// sent (source ControllerAddr) takes the control lane of its worker ports.
 func (s *Switch) Inject(po openflow.PacketOut) error {
 	if len(po.Data) == 0 {
 		return fmt.Errorf("switchfabric: empty packet-out")
@@ -700,9 +715,10 @@ func (s *Switch) Inject(po openflow.PacketOut) error {
 	// already-consumed forces every delivery onto the copy path so the
 	// original never enters a ring whose reader recycles buffers.
 	consumed := true
+	_, src, _ := packet.PeekAddrs(po.Data)
 	v := s.view.Load()
 	now := clock.CoarseUnixNano()
-	if n := s.execute(v, po.InPort, po.Data, po.Actions, 0, 0, now, &consumed); n > 0 {
+	if n := s.execute(v, po.InPort, po.Data, po.Actions, 0, 0, src.IsController(), now, &consumed); n > 0 {
 		s.forwarded.Add(uint64(n))
 		if n > 1 {
 			s.replicated.Add(uint64(n - 1))
@@ -716,15 +732,15 @@ func (s *Switch) PortStatsSnapshot() []openflow.PortStats {
 	v := s.view.Load()
 	out := make([]openflow.PortStats, 0, len(v.ports))
 	for _, p := range v.ports {
-		rs := p.rx.Stats()
+		tx := p.txStats()
 		out = append(out, openflow.PortStats{
 			PortNo:    p.no,
 			RxPackets: p.rxPackets.Load(),
 			RxBytes:   p.rxBytes.Load(),
-			TxPackets: p.txPackets.Load(),
-			TxBytes:   p.txBytes.Load(),
-			RxDropped: rs.Dropped,
-			TxDropped: p.txDropped.Load(),
+			TxPackets: tx.Enqueued,
+			TxBytes:   tx.Bytes,
+			RxDropped: p.rx.Stats().Dropped,
+			TxDropped: tx.Dropped,
 		})
 	}
 	return out
@@ -760,10 +776,10 @@ func (s *Switch) CountersSnapshot() Counters {
 	c.Dropped = c.NoMatch + c.Malformed + c.MeterDrops
 	v := s.view.Load()
 	for _, p := range v.ports {
-		rs := p.rx.Stats()
+		tx := p.txStats()
 		c.RxFrames += p.rxPackets.Load()
-		c.TxFrames += p.txPackets.Load()
-		c.Dropped += rs.Dropped + p.txDropped.Load()
+		c.TxFrames += tx.Enqueued
+		c.Dropped += p.rx.Stats().Dropped + tx.Dropped
 	}
 	return c
 }
@@ -859,7 +875,7 @@ func (s *Switch) processBatch(in *Port, batch [][]byte, mc *microCache) {
 			frame = traced
 		}
 		consumed := false
-		if n := s.execute(v, in.no, frame, r.loadActions(), 0, 0, now, &consumed); n > 0 {
+		if n := s.execute(v, in.no, frame, r.loadActions(), 0, 0, false, now, &consumed); n > 0 {
 			acct.forwarded += uint64(n)
 			if n > 1 {
 				acct.replicated += uint64(n - 1)
@@ -900,10 +916,11 @@ func (s *Switch) processBatch(in *Port, batch [][]byte, mc *microCache) {
 // actually delivered (ports plus controller punts). depth guards group
 // recursion. queue is the egress class selected so far (set_queue actions
 // update it, and it propagates into group buckets so LB'd traffic keeps its
-// class). consumed tracks whether the current frame slice has already been
-// handed to an egress ring; once it has, further deliveries copy
-// (unique-ownership protocol, see the package comment).
-func (s *Switch) execute(v *dataView, inPort uint32, frame []byte, actions []openflow.Action, depth int, queue uint32, now int64, consumed *bool) int {
+// class); lane sends it to worker ports' control lanes instead. consumed
+// tracks whether the current frame slice has already been handed to an
+// egress ring; once it has, further deliveries copy (unique-ownership
+// protocol, see the package comment).
+func (s *Switch) execute(v *dataView, inPort uint32, frame []byte, actions []openflow.Action, depth int, queue uint32, lane bool, now int64, consumed *bool) int {
 	if depth > 2 {
 		return 0
 	}
@@ -941,19 +958,19 @@ func (s *Switch) execute(v *dataView, inPort uint32, frame []byte, actions []ope
 			if i != last {
 				cptr = &forceCopy
 			}
-			delivered += s.deliver(v, a.Port, frame, tunDst, queue, now, cptr)
+			delivered += s.deliver(v, a.Port, frame, tunDst, queue, lane, now, cptr)
 		case openflow.ActGroup:
 			cptr := consumed
 			if i != last {
 				cptr = &forceCopy
 			}
-			delivered += s.executeGroup(v, inPort, frame, a.Group, depth+1, queue, now, cptr)
+			delivered += s.executeGroup(v, inPort, frame, a.Group, depth+1, queue, lane, now, cptr)
 		}
 	}
 	return delivered
 }
 
-func (s *Switch) executeGroup(v *dataView, inPort uint32, frame []byte, id uint32, depth int, queue uint32, now int64, consumed *bool) int {
+func (s *Switch) executeGroup(v *dataView, inPort uint32, frame []byte, id uint32, depth int, queue uint32, lane bool, now int64, consumed *bool) int {
 	g := v.groups[id]
 	if g == nil {
 		return 0
@@ -967,7 +984,7 @@ func (s *Switch) executeGroup(v *dataView, inPort uint32, frame []byte, id uint3
 		// the first bucket whose cumulative weight exceeds s.
 		slot := uint32(g.next.Add(1)-1) % g.total
 		idx, _ := slices.BinarySearch(g.weights, slot+1)
-		return s.execute(v, inPort, frame, g.buckets[idx].Actions, depth, queue, now, consumed)
+		return s.execute(v, inPort, frame, g.buckets[idx].Actions, depth, queue, lane, now, consumed)
 	case openflow.GroupAll:
 		// Same last-reader rule as execute: only the final bucket's actions
 		// may take the original frame.
@@ -979,7 +996,7 @@ func (s *Switch) executeGroup(v *dataView, inPort uint32, frame []byte, id uint3
 			if i != lastB {
 				cptr = &forceCopy
 			}
-			delivered += s.execute(v, inPort, frame, b.Actions, depth, queue, now, cptr)
+			delivered += s.execute(v, inPort, frame, b.Actions, depth, queue, lane, now, cptr)
 		}
 		return delivered
 	}
@@ -987,9 +1004,10 @@ func (s *Switch) executeGroup(v *dataView, inPort uint32, frame []byte, id uint3
 }
 
 // deliver sends one copy of a frame toward a port (or the controller) and
-// reports how many copies were actually delivered (0 or 1). queue selects
-// the egress class on ports running per-class queues.
-func (s *Switch) deliver(v *dataView, portNo uint32, frame []byte, tunDst string, queue uint32, now int64, consumed *bool) int {
+// reports how many copies were actually delivered (0 or 1). lane selects a
+// worker port's control lane; otherwise queue selects the egress class on
+// ports running per-class queues.
+func (s *Switch) deliver(v *dataView, portNo uint32, frame []byte, tunDst string, queue uint32, lane bool, now int64, consumed *bool) int {
 	if portNo == openflow.PortController {
 		sinks := *s.ctlSinks.Load()
 		if len(sinks) == 0 {
@@ -1043,27 +1061,21 @@ func (s *Switch) deliver(v *dataView, portNo uint32, frame []byte, tunDst string
 	default:
 		owned = true
 	}
-	n := len(out)
-	accepted := false
-	if p.qd != nil {
+	var accepted bool
+	switch {
+	case lane && p.ctl != nil:
+		accepted = p.ctl.TryEnqueue(out)
+	case p.qd != nil:
 		accepted = p.qd.enqueue(queue, out)
-	} else {
+	default:
 		accepted = p.tx.TryEnqueue(out)
-	}
-	if !accepted && p.ctl != nil {
-		if _, src, _ := packet.PeekAddrs(out); src.IsController() {
-			accepted = p.ctl.TryEnqueue(out)
-		}
 	}
 	if accepted {
 		if owned {
 			*consumed = true
 		}
-		p.txPackets.Add(1)
-		p.txBytes.Add(uint64(n))
 		return 1
 	}
-	p.txDropped.Add(1)
 	if !owned {
 		// The copy never entered the ring; we are its sole owner.
 		packet.PutFrameBuf(out)

@@ -373,6 +373,80 @@ func TestPacketOutToFullPortTakesControlLane(t *testing.T) {
 	}
 }
 
+// queueThenInject queues four data frames toward a worker port, then
+// injects one frame from the controller to it, and returns the port.
+func queueThenInject(t *testing.T, opts Options) (*Switch, *Port) {
+	t.Helper()
+	sw := New("host-1", 1, opts)
+	sw.Start()
+	t.Cleanup(sw.Stop)
+	a1, a2 := packet.WorkerAddr(1, 1), packet.WorkerAddr(1, 2)
+	p1, _ := sw.AddPort("w1", a1)
+	p2, _ := sw.AddPort("w2", a2)
+	if err := sw.ApplyFlowMod(unicastRule(p1.No(), a1, a2, p2.No())); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		p1.WriteFrame(frameFor(a2, a1, "data"))
+	}
+	for p2.QueueLen() < 4 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := sw.Inject(openflow.PacketOut{
+		InPort:  openflow.PortController,
+		Actions: []openflow.Action{openflow.Output(p2.No())},
+		Data:    frameFor(a2, packet.ControllerAddr, "ctl"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return sw, p2
+}
+
+// readControlThenData checks that p yields the controller frame alone, then
+// the four data frames queued ahead of it.
+func readControlThenData(t *testing.T, p *Port) {
+	t.Helper()
+	frames, err := p.ReadBatch(nil, 64, 0)
+	if err != nil || len(frames) != 1 {
+		t.Fatalf("first read: %d frames, err %v; want the controller frame alone", len(frames), err)
+	}
+	if _, src, _ := packet.PeekAddrs(frames[0]); !src.IsController() {
+		t.Fatalf("first frame is from %v, want the controller", src)
+	}
+	if frames, _ = p.ReadBatch(nil, 64, 0); len(frames) != 4 {
+		t.Fatalf("second read: %d frames, want the 4 queued data frames", len(frames))
+	}
+}
+
+// TestPacketOutWithRoomTakesControlLane: a controller frame takes the control
+// lane even when the port's data ring has room for it, so it is read ahead
+// of the data frames queued before it.
+func TestPacketOutWithRoomTakesControlLane(t *testing.T) {
+	_, p := queueThenInject(t, Options{RingCapacity: 16})
+	if got := p.QueueLen(); got != 5 {
+		t.Fatalf("QueueLen = %d, want the 4 queued data frames plus the controller's", got)
+	}
+	readControlThenData(t, p)
+}
+
+// TestControllerFrameBypassesClassQueues: with egress queues, a controller
+// frame to a port whose class ring is full is not the class's drop, and the
+// port counts it once, as a sent frame.
+func TestControllerFrameBypassesClassQueues(t *testing.T) {
+	sw, p := queueThenInject(t, Options{RingCapacity: 4, EgressQueues: []QueueClass{
+		{Name: "guaranteed", Weight: 4}, {Name: "best-effort", Weight: 1},
+	}})
+	if qs := p.QueueStats(); qs[0].Depth != 4 || qs[0].Dropped != 0 {
+		t.Fatalf("class 0 = %+v, want 4 queued and no drop", qs[0])
+	}
+	for _, ps := range sw.PortStatsSnapshot() {
+		if ps.PortNo == p.No() && (ps.TxPackets != 5 || ps.TxDropped != 0) {
+			t.Fatalf("port stats = %+v, want 5 frames sent and none dropped", ps)
+		}
+	}
+	readControlThenData(t, p)
+}
+
 func TestSelectGroupWeightedRoundRobin(t *testing.T) {
 	sw, _ := newTestSwitch(t)
 	src := packet.WorkerAddr(1, 1)

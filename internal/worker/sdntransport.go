@@ -49,6 +49,8 @@ type SDNTransport struct {
 	inBuf   []tuple.Tuple
 	inQueue []tuple.Tuple
 	inLen   atomic.Int64
+	// ctlBuf holds control-lane tuples, handed out ahead of inQueue.
+	ctlBuf []tuple.Tuple
 
 	sampler FrameSampler
 	sink    func(packet.TraceAnnex)
@@ -208,39 +210,32 @@ func (t *SDNTransport) writeFrames(frames [][]byte) {
 	}
 }
 
-// Recv implements Transport: frames are read from the switch in batches and
-// each is decoded where it lies, in one pass from frame bytes to tuples
-// through the transport's arena (~0 allocations per tuple in steady state).
-// The returned slice is a window into the transport's reusable decode buffer
-// and is only valid until the next Recv call; the tuples themselves own
-// their storage and may be retained indefinitely.
+// Recv implements Transport. Control frames come first: the port's control
+// lane is read before any data frame, and while decoded data waits, the
+// lane's tuples make up the call's whole batch. Frames are decoded where they
+// lie, in one pass from frame bytes to tuples through the transport's arena
+// (~0 allocations per tuple in steady state). The returned slice is a window
+// into a reusable decode buffer, valid only until the next Recv call; the
+// tuples themselves own their storage and may be retained indefinitely.
 func (t *SDNTransport) Recv(max int, wait time.Duration) ([]tuple.Tuple, error) {
 	if max <= 0 {
 		max = 256
 	}
-	if len(t.inQueue) == 0 {
+	if len(t.inQueue) > 0 {
+		if frames := t.port.ReadControl(t.rxBatch[:0], max); len(frames) > 0 {
+			t.rxBatch = frames
+			if t.ctlBuf = t.decode(t.ctlBuf[:0], frames); len(t.ctlBuf) > 0 {
+				t.tuplesReceived.Add(uint64(len(t.ctlBuf)))
+				return t.ctlBuf, nil
+			}
+		}
+	} else {
 		frames, err := t.port.ReadBatch(t.rxBatch[:0], max, wait)
 		if err != nil {
 			return nil, errTransportClosed
 		}
 		t.rxBatch = frames
-		t.inBuf = t.inBuf[:0]
-		for _, fr := range frames {
-			if t.sink != nil && packet.Traced(fr) {
-				done := packet.AppendTraceHop(fr, packet.TraceHop{
-					Kind: packet.HopDequeue, Actor: uint64(t.self), Detail: uint32(packet.TupleCount(fr)),
-					At: clock.CoarseUnixNano(),
-				})
-				if annex, ok := packet.ExtractTrace(done); ok {
-					t.sink(annex)
-				}
-			}
-			t.decodeFrame(fr)
-			// The unique-ownership protocol makes this transport the sole
-			// owner of every frame it dequeues, and decoding copied every
-			// payload into the arena, so the buffer can re-enter the pool.
-			packet.PutFrameBuf(fr)
-		}
+		t.inBuf = t.decode(t.inBuf[:0], frames)
 		t.inQueue = t.inBuf
 		t.inLen.Store(int64(len(t.inQueue)))
 	}
@@ -258,23 +253,45 @@ func (t *SDNTransport) Recv(max int, wait time.Duration) ([]tuple.Tuple, error) 
 	return out, nil
 }
 
-// decodeFrame appends the tuples fr carries to inBuf. A multiplexed frame is
+// decode appends the tuples of frames to dst, completing the trace annex of
+// a traced frame on the way.
+func (t *SDNTransport) decode(dst []tuple.Tuple, frames [][]byte) []tuple.Tuple {
+	for _, fr := range frames {
+		if t.sink != nil && packet.Traced(fr) {
+			done := packet.AppendTraceHop(fr, packet.TraceHop{
+				Kind: packet.HopDequeue, Actor: uint64(t.self), Detail: uint32(packet.TupleCount(fr)),
+				At: clock.CoarseUnixNano(),
+			})
+			if annex, ok := packet.ExtractTrace(done); ok {
+				t.sink(annex)
+			}
+		}
+		dst = t.decodeFrame(dst, fr)
+		// The unique-ownership protocol makes this transport the sole
+		// owner of every frame it dequeues, and decoding copied every
+		// payload into the arena, so the buffer can re-enter the pool.
+		packet.PutFrameBuf(fr)
+	}
+	return dst
+}
+
+// decodeFrame appends the tuples fr carries to dst. A multiplexed frame is
 // walked once, each record decoded off the frame as its length prefix is
 // read; a segment frame goes through the depacketizer, which owns
 // reassembly. A record that fails to decode costs that tuple and one drop;
 // a frame whose header or prefixes do not parse delivers nothing and costs
 // one drop, whatever decoded before the fault was found.
-func (t *SDNTransport) decodeFrame(fr []byte) {
+func (t *SDNTransport) decodeFrame(dst []tuple.Tuple, fr []byte) []tuple.Tuple {
 	run, multiplexed, err := packet.TupleRun(fr)
 	if err != nil {
 		t.dropped.Add(1)
-		return
+		return dst
 	}
 	if !multiplexed {
 		ins, err := t.dpktz.Feed(fr)
 		if err != nil {
 			t.dropped.Add(1)
-			return
+			return dst
 		}
 		for _, in := range ins {
 			tp, _, err := tuple.DecodeInto(in.Data, &t.arena)
@@ -282,18 +299,18 @@ func (t *SDNTransport) decodeFrame(fr []byte) {
 				t.dropped.Add(1)
 				continue
 			}
-			t.inBuf = append(t.inBuf, tp)
+			dst = append(dst, tp)
 		}
-		return
+		return dst
 	}
-	// Tuples gather in out and reach inBuf only when the whole run has
+	// Tuples gather in out and reach dst only when the whole run has
 	// parsed, so a frame that turns out unparsable delivers nothing.
-	out, bad := t.inBuf, uint64(0)
+	out, bad := dst, uint64(0)
 	for len(run) > 0 {
 		enc, rest, ok := packet.NextTuple(run)
 		if !ok {
 			t.dropped.Add(1)
-			return
+			return dst
 		}
 		if tp, _, err := tuple.DecodeInto(enc, &t.arena); err != nil {
 			bad++
@@ -302,10 +319,10 @@ func (t *SDNTransport) decodeFrame(fr []byte) {
 		}
 		run = rest
 	}
-	t.inBuf = out
 	if bad > 0 {
 		t.dropped.Add(bad)
 	}
+	return out
 }
 
 // SetBatchSize implements Transport: it adjusts the egress batch threshold.

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"typhoon/internal/control"
 	"typhoon/internal/openflow"
 	"typhoon/internal/packet"
 	"typhoon/internal/switchfabric"
@@ -334,4 +335,103 @@ func TestWorkerOverSDNTransport(t *testing.T) {
 		Routes: []topology.Route{dataRoute(2, topology.Shuffle)},
 	}, &seqSource{limit: 500}, srcTr)
 	waitFor(t, 10*time.Second, func() bool { return sink.count() == 500 })
+}
+
+// TestMetricRequestOvertakesBacklog: a METRIC_REQ the controller injects into
+// a slow sink with a deep backlog is answered within one 256-tuple batch of
+// the worker loop, ahead of the tuples already decoded and the frames still
+// queued in the port.
+func TestMetricRequestOvertakesBacklog(t *testing.T) {
+	const (
+		frames, perFrame = 400, 50
+		batch            = 256 // the worker loop's Recv budget
+		slow             = 200 * time.Microsecond
+		bound            = time.Second
+	)
+	sw := switchfabric.New("h1", 1)
+	sw.Start()
+	t.Cleanup(sw.Stop)
+	feedAddr, sinkAddr := packet.WorkerAddr(1, 1), packet.WorkerAddr(1, 2)
+	feed, _ := sw.AddPort("feed", feedAddr)
+	port, _ := sw.AddPort("sink", sinkAddr)
+	for _, r := range []struct {
+		in  uint32
+		dst packet.Addr
+		out uint32
+	}{{feed.No(), sinkAddr, port.No()}, {port.No(), packet.ControllerAddr, openflow.PortController}} {
+		if err := sw.ApplyFlowMod(openflow.FlowMod{
+			Command: openflow.FlowAdd, Priority: 100,
+			Match: openflow.Match{
+				Fields: openflow.FieldInPort | openflow.FieldDlDst | openflow.FieldEtherType,
+				InPort: r.in, DlDst: r.dst, EtherType: packet.EtherType,
+			},
+			Actions: []openflow.Action{openflow.Output(r.out)},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctl := &recordingSink{packetIn: make(chan []byte, 4)}
+	sw.AttachController(ctl)
+	sw.ClaimMaster(ctl, 1)
+
+	recs := make([][]byte, perFrame)
+	for i := range recs {
+		recs[i] = tuple.Encode(tuple.New(tuple.Int(int64(i))))
+	}
+	for i := 0; i < frames; i++ {
+		if !feed.WriteFrame(packet.EncodeTuples(sinkAddr, feedAddr, recs)) {
+			t.Fatal("feed ring full")
+		}
+	}
+	waitFor(t, 5*time.Second, func() bool { return port.QueueLen() == frames })
+
+	sink := &collector{}
+	name := "test/inst/" + t.Name()
+	RegisterLogic(name, func() Component { return sink })
+	w, err := New(Config{App: 1, ID: 2, Node: "sink", Logic: name}, NewSDNTransport(1, 2, port, SDNTransportConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Slow(slow)
+	w.Start()
+	t.Cleanup(w.Stop)
+	waitFor(t, 10*time.Second, func() bool { return sink.count() >= batch })
+
+	before := sink.count()
+	req := control.Encode(control.KindMetricReq, control.MetricReq{Token: 7})
+	sent := time.Now()
+	if err := sw.Inject(openflow.PacketOut{
+		InPort:  openflow.PortController,
+		Actions: []openflow.Action{openflow.Output(port.No())},
+		Data:    packet.EncodeTuples(sinkAddr, packet.ControllerAddr, [][]byte{tuple.Encode(req)}),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var data []byte
+	select {
+	case data = <-ctl.packetIn:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("no METRIC_RESP within 10 s; %d of %d tuples executed", sink.count(), frames*perFrame)
+	}
+	took := time.Since(sent)
+	run, _, err := packet.TupleRun(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, _, _ := packet.NextTuple(run)
+	resp, _, err := tuple.Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mr control.MetricResp
+	if err := control.DecodePayload(resp, &mr); err != nil || mr.Token != 7 {
+		t.Fatalf("reply %+v, err %v; want the METRIC_RESP for token 7", mr, err)
+	}
+	t.Logf("answered in %v, %d tuples after the request; QueueLen %d", took, int(mr.Processed)-before, mr.QueueLen)
+	if int(mr.Processed)-before > batch {
+		t.Fatalf("answered after %d more tuples, want at most one batch (%d)", int(mr.Processed)-before, batch)
+	}
+	if took > bound {
+		t.Fatalf("answered in %v, want within %v", took, bound)
+	}
 }

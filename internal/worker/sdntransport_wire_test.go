@@ -221,7 +221,7 @@ func TestDecodedTuplesOutliveTheirFrame(t *testing.T) {
 	}
 	tr := &SDNTransport{dpktz: packet.NewDepacketizer()}
 	first := frameOf(batch(1))
-	tr.decodeFrame(first)
+	tr.inBuf = tr.decodeFrame(tr.inBuf, first)
 	kept := append([]tuple.Tuple(nil), tr.inBuf...)
 	views := make([][]byte, n) // the byte slices themselves, not just the tuples
 	for i, tp := range kept {
@@ -235,8 +235,7 @@ func TestDecodedTuplesOutliveTheirFrame(t *testing.T) {
 	}
 	copy(first, second)
 	packet.PutFrameBuf(second)
-	tr.inBuf = tr.inBuf[:0]
-	tr.decodeFrame(first)
+	tr.inBuf = tr.decodeFrame(tr.inBuf[:0], first)
 	packet.PutFrameBuf(first)
 	runtime.GC()
 	runtime.GC()
@@ -283,7 +282,7 @@ func FuzzFrameToTuples(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		tr := &SDNTransport{dpktz: packet.NewDepacketizer()}
-		tr.decodeFrame(raw)
+		tr.inBuf = tr.decodeFrame(tr.inBuf, raw)
 
 		var want []tuple.Tuple
 		var wantDropped uint64

@@ -25,8 +25,6 @@ type Config struct {
 	Logic string
 	// Source marks spout workers.
 	Source bool
-	// Stateful marks workers with flushable in-memory state (Table 4).
-	Stateful bool
 	// Routes is the initial routing table.
 	Routes []topology.Route
 	// Subscriptions lists the data streams this worker accepts; nil

@@ -54,6 +54,21 @@ no_per_tuple internal/worker/sdntransport.go 't \*SDNTransport' Recv "$per_tuple
 no_per_tuple internal/worker/router.go 'r \*Router' routeInto "$per_tuple"
 no_per_tuple internal/worker/worker.go 'w \*Worker' EmitOn "$per_tuple"
 no_per_tuple internal/switchfabric/switch.go 's \*Switch' processBatch "$per_tuple"
+# A controller frame has one way into a worker: Inject puts every frame the
+# controller sends into the port's control lane, so deliver never looks at a
+# refused frame's source; each egress ring counts the frames offered to it,
+# so the port keeps no tx tallies of its own and the ring no dequeue tally;
+# and the transport reads the lane before serving tuples it has decoded.
+if ! grep -q '^func (s \*Switch) deliver(' internal/switchfabric/switch.go ||
+	sed -n '/^func (s \*Switch) deliver(/,/^}/p' internal/switchfabric/switch.go | grep -n 'PeekAddrs' ||
+	grep -nwE 'controlLaneCapacity|txPackets|txBytes|txDropped' internal/switchfabric/*.go ||
+	grep -niw 'dequeued' internal/ring/*.go ||
+	! sed -n '/^func (t \*SDNTransport) Recv(/,/^}/p' internal/worker/sdntransport.go |
+		awk '/ReadControl\(/ && !lane {lane = NR} /t\.inQueue\[:/ {serve = NR}
+			END {exit !(lane && serve && lane < serve)}'; then
+	echo "a second way in for controller frames, an egress tally besides the rings', or a Recv that serves decoded data before the control lane (see above)" >&2
+	exit 1
+fi
 # A staged tuple never waits out a timer: the worker loop flushes before it
 # blocks, so no wait is cut to the flush deadline (capWait) and worker.go arms
 # a timer only for the rate-limit wait (awaitToken) and run's Hang hook.
